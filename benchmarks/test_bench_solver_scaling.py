@@ -7,8 +7,7 @@ the per-solve cost after factorization stays far below the build cost
 (the property every sweep in this suite exploits via LU caching).
 
 The backend-scaling bench repeats the measurement per registered
-linear-algebra backend (the ``dense`` backend only on small grids --
-its factorization is O(n^3)) and ships the curves in the
+linear-algebra backend and ships the curves in the
 ``BENCH_solver.json`` artifact plus the perf ledger.
 """
 
@@ -89,12 +88,9 @@ def test_bench_solver_scaling(benchmark, grid):
     assert t_transient < 10.0
 
 
-# the dense backend factors an n x n LAPACK matrix -- O(n^3) -- so its
-# curve stops where the sparse ones are just warming up
 BACKEND_GRIDS = [
     ("superlu-serial", 16), ("superlu-serial", 32), ("superlu-serial", 48),
     ("cholesky", 16), ("cholesky", 32), ("cholesky", 48),
-    ("dense", 8), ("dense", 16),
 ]
 
 

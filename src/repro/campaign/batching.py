@@ -93,10 +93,11 @@ def batch_groups(
 def batch_trace_transient(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     """All trace runs of one model as a single lockstep integration.
 
-    Builds the model once, synthesizes each job's trace exactly as
-    :func:`~repro.campaign.runners.run_trace_transient` does, and
-    integrates the schedules through
-    :func:`~repro.solver.batched.batched_simulate_schedules`.  Jobs
+    Builds the model once, synthesizes each job's trace, and integrates
+    the schedules through
+    :func:`~repro.solver.batched.batched_simulate_schedules`; the serial
+    :func:`~repro.campaign.runners.run_trace_transient` is the
+    one-job call of this runner.  Jobs
     whose traces land on different boundary grids (different
     ``duration``/``thermal_stride``) make the solver raise, which the
     executor answers by re-running the group per job.
@@ -139,8 +140,8 @@ def batch_trace_transient(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     meta = {"block_names": list(model.floorplan.names),
             "ambient_k": model.config.ambient}
     out: Dict[str, JobResult] = {}
-    for spec in specs:
-        column = result.scenario(spec.tag)
+    for k, spec in enumerate(specs):
+        column = result.scenario(k)
         out[spec.tag] = JobResult(
             arrays={"times": column.times.copy(),
                     "block_rise_k": column.states},
@@ -154,11 +155,11 @@ def batch_dtm_policy(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     """All DTM policies of one package as a single lockstep run.
 
     One model, one factorization, K controllers advancing together
-    through :func:`~repro.dtm.batch.run_dtm_batch`; each job's
+    through :func:`~repro.dtm.controller.run_dtm_batch`; each job's
     controller and pulse-train stimulus is configured by the same
     :func:`~repro.campaign.runners.dtm_setup` the serial runner uses.
     """
-    from ..dtm.batch import run_dtm_batch
+    from ..dtm.controller import run_dtm_batch
     from .runners import dtm_result, dtm_setup
 
     assert specs and specs[0].model is not None

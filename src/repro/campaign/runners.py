@@ -93,32 +93,9 @@ def run_trace_transient(spec: JobSpec) -> JobResult:
     binning), ``init`` (``"steady"`` starts from the average-power
     steady state, anything else from ambient).
     """
-    from ..experiments.common import gcc_synthesized_trace
-    from ..solver import simulate_schedule, steady_state
+    from .batching import batch_trace_transient
 
-    model = spec.model.build()
-    trace = gcc_synthesized_trace(
-        float(spec.param("duration", 0.040)),
-        int(spec.param("instructions", 500_000)),
-        int(spec.param("seed", 0)),
-        float(spec.param("mean_dwell", 0.005)),
-    )
-    stride = int(spec.param("thermal_stride", 1))
-    if stride > 1:
-        trace = trace.resampled(stride)
-    schedule = trace.to_schedule(model)
-    x0 = None
-    if spec.param("init", "steady") == "steady":
-        x0 = steady_state(model.network, model.node_power(trace.average()))
-    result = simulate_schedule(
-        model.network, schedule, dt=trace.dt, x0=x0,
-        projector=model.block_rise,
-    )
-    return JobResult(
-        arrays={"times": result.times, "block_rise_k": result.states},
-        meta={"block_names": list(model.floorplan.names),
-              "ambient_k": model.config.ambient},
-    )
+    return batch_trace_transient([spec])[spec.tag]
 
 
 @runner("package_metrics")

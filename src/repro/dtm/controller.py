@@ -11,15 +11,25 @@ This is the machinery behind the paper's Section 5.1: for the same
 workload and threshold, the package with the slower transient response
 (OIL-SILICON) stays hot longer after a trigger and therefore needs
 longer engagement durations, costing more performance.
+
+A DTM policy sweep runs the *same* package model under several
+policies, so :func:`run_dtm_batch` advances K controllers as one
+``(n_nodes, K)`` state matrix through one shared
+:class:`~repro.solver.transient.TrapezoidalStepper`.  Only the linear
+solve is shared: each controller keeps its own engagement state,
+sensor sampling and performance accounting, and each column is bitwise
+identical to running that controller alone.  :meth:`DTMController.run`
+is the K=1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, List, Optional, Sequence
 
 import numpy as np
 
+from .. import units
 from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..rcmodel.grid import ThermalGridModel
@@ -99,60 +109,133 @@ class DTMController:
     def run(
         self, trace: PowerTrace, x0: Optional[np.ndarray] = None
     ) -> DTMRun:
-        """Simulate the trace under closed-loop DTM."""
-        model = self.model
+        """Simulate the trace under closed-loop DTM (a K=1 :func:`run_dtm_batch`)."""
+        return run_dtm_batch([self], [trace], [x0])[0]
+
+
+def run_dtm_batch(
+    controllers: Sequence[DTMController],
+    traces: Sequence[PowerTrace],
+    x0s: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> Annotated[List[DTMRun], units.hot_path()]:
+    """Run K (controller, trace) pairs in lockstep on one shared model.
+
+    Declared a :func:`repro.units.hot_path` root for the
+    blocking-in-hot-path rule (R14): the lockstep stepping loop is the
+    tightest per-sample path in the codebase, so nothing reachable
+    from here may sleep, flock, or block on a queue.
+
+    All controllers must reference the *same* model instance (one
+    network, one factorization) and all traces must share one time
+    grid (same ``dt``, same sample count) so the columns step
+    together.  Violations raise :class:`ConfigurationError`; campaign
+    callers treat that as "fall back to per-job execution".
+    """
+    if not controllers:
+        raise ConfigurationError("need at least one controller")
+    if len(traces) != len(controllers):
+        raise ConfigurationError(
+            f"{len(controllers)} controllers but {len(traces)} traces"
+        )
+    model = controllers[0].model
+    for k, controller in enumerate(controllers[1:], start=1):
+        if controller.model is not model:
+            raise ConfigurationError(
+                f"controller {k} uses a different model instance; "
+                "batched DTM requires one shared model"
+            )
+    dt = traces[0].dt
+    n_samples = traces[0].n_samples
+    for k, trace in enumerate(traces):
         trace.check_floorplan(model.floorplan)
-        dt = trace.dt
-        interval = self.sampling_interval or dt
-        sample_stride = max(1, int(round(interval / dt)))
-        stepper = TrapezoidalStepper(model.network, dt)
-        scale = self.policy.power_scale_vector(model.floorplan)
+        # exact grid identity is required for lockstep stepping
+        if trace.dt != dt or trace.n_samples != n_samples:
+            raise ConfigurationError(
+                f"trace {k} has a different time grid "
+                f"(dt={trace.dt:g}, n={trace.n_samples}); batched DTM "
+                f"requires dt={dt:g}, n={n_samples}"
+            )
 
-        x = np.zeros(model.n_nodes) if x0 is None else np.asarray(x0, float).copy()
-        ambient = model.config.ambient
-        engaged_until = -np.inf
-        n_engagements = 0
-        work = 0.0
+    n_scenarios = len(controllers)
+    stepper = TrapezoidalStepper(model.network, dt)
+    scales = [
+        c.policy.power_scale_vector(model.floorplan) for c in controllers
+    ]
+    strides = [
+        max(1, int(round((c.sampling_interval or dt) / dt)))
+        for c in controllers
+    ]
+    ambient = model.config.ambient
 
-        times = np.empty(trace.n_samples)
-        sensor_max = np.empty(trace.n_samples)
-        true_max = np.empty(trace.n_samples)
-        engaged_flags = np.zeros(trace.n_samples, dtype=bool)
-        block_temps = np.empty((trace.n_samples, len(model.floorplan)))
+    x = np.zeros((model.n_nodes, n_scenarios))
+    if x0s is not None:
+        if len(x0s) != n_scenarios:
+            raise ConfigurationError(
+                f"{len(x0s)} initial states for {n_scenarios} controllers"
+            )
+        for k, x0 in enumerate(x0s):
+            if x0 is not None:
+                x[:, k] = np.asarray(x0, float)
 
-        for i in range(trace.n_samples):
-            now = i * dt
-            engaged = now < engaged_until
-            block_power = trace.samples[i] * (scale if engaged else 1.0)
-            node_power = model.node_power(block_power)
-            x = stepper.step(x, node_power)
-            work += (self.policy.performance_factor if engaged else 1.0) * dt
+    engaged_until = [-np.inf] * n_scenarios
+    n_engagements = [0] * n_scenarios
+    work = [0.0] * n_scenarios
 
-            silicon_field = model.silicon_cell_rise(x) + ambient
-            times[i] = now + dt
-            true_max[i] = silicon_field.max()
-            block_temps[i] = model.block_rise(x) + ambient
-            engaged_flags[i] = engaged
+    times = np.empty(n_samples)
+    sensor_max = [np.empty(n_samples) for _ in range(n_scenarios)]
+    true_max = [np.empty(n_samples) for _ in range(n_scenarios)]
+    engaged_flags = [
+        np.zeros(n_samples, dtype=bool) for _ in range(n_scenarios)
+    ]
+    block_temps = [
+        np.empty((n_samples, len(model.floorplan)))
+        for _ in range(n_scenarios)
+    ]
 
-            if i % sample_stride == 0:
-                reading = self.sensors.max_reading(
+    power = np.empty((model.n_nodes, n_scenarios))
+    for i in range(n_samples):
+        now = i * dt
+        engaged_now = [now < engaged_until[k] for k in range(n_scenarios)]
+        for k, controller in enumerate(controllers):
+            block_power = traces[k].samples[i] * (
+                scales[k] if engaged_now[k] else 1.0
+            )
+            power[:, k] = model.node_power(block_power)
+            work[k] += (
+                controller.policy.performance_factor if engaged_now[k]
+                else 1.0
+            ) * dt
+        x = stepper.step(x, power)
+        times[i] = now + dt
+        for k, controller in enumerate(controllers):
+            column = np.ascontiguousarray(x[:, k])
+            silicon_field = model.silicon_cell_rise(column) + ambient
+            true_max[k][i] = silicon_field.max()
+            block_temps[k][i] = model.block_rise(column) + ambient
+            engaged_flags[k][i] = engaged_now[k]
+            if i % strides[k] == 0:
+                reading = controller.sensors.max_reading(
                     silicon_field, model.mapping
                 )
-                sensor_max[i] = reading
-                if reading >= self.threshold:
-                    if not engaged:
-                        n_engagements += 1
-                    engaged_until = now + dt + self.engagement_duration
+                sensor_max[k][i] = reading
+                if reading >= controller.threshold:
+                    if not engaged_now[k]:
+                        n_engagements[k] += 1
+                    engaged_until[k] = (
+                        now + dt + controller.engagement_duration
+                    )
             else:
-                sensor_max[i] = sensor_max[i - 1] if i else np.nan
+                sensor_max[k][i] = sensor_max[k][i - 1] if i else np.nan
 
-        performance = work / trace.duration
-        return DTMRun(
-            times=times,
-            sensor_max=sensor_max,
-            true_max=true_max,
-            block_temps=block_temps,
-            engaged=engaged_flags,
-            performance=performance,
-            n_engagements=n_engagements,
+    return [
+        DTMRun(
+            times=times.copy(),
+            sensor_max=sensor_max[k],
+            true_max=true_max[k],
+            block_temps=block_temps[k],
+            engaged=engaged_flags[k],
+            performance=work[k] / traces[k].duration,
+            n_engagements=n_engagements[k],
         )
+        for k in range(n_scenarios)
+    ]

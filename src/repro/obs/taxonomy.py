@@ -31,6 +31,9 @@ SPAN_NAMES = frozenset(
         "solver.steady.solve",
         "solver.steady.factorize",
         "solver.transient.factorize",
+        # not opened by this tree since single runs became K=1 batches;
+        # still registered so analyzing an older source tree (such as
+        # perfbench's frozen analyze-src input) reports the same findings
         "solver.transient.simulate",
         "solver.transient.schedule",
         "solver.batched.simulate",

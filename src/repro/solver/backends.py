@@ -14,7 +14,7 @@ so faster linear algebra can compete under an explicit contract:
 * ``bitwise=False`` backends promise agreement with the
   ``superlu-serial`` reference only within their declared ``rtol``
   envelope, in exchange for speed (blocked multi-RHS kernels, SPD
-  Cholesky-style eliminations, dense LAPACK for small grids).
+  Cholesky-style eliminations).
 
 Backend selection precedence (first match wins):
 
@@ -25,8 +25,7 @@ Backend selection precedence (first match wins):
 4. the default, :data:`DEFAULT_BACKEND` (``superlu-serial``).
 
 Factorization failures of any backend (singular SuperLU
-``RuntimeError``, LAPACK/``numpy`` ``LinAlgError`` on indefinite
-input, scipy validation ``ValueError``) are normalized to
+``RuntimeError``, scipy validation ``ValueError``) are normalized to
 :class:`~repro.errors.SolverError` at the protocol boundary, so
 callers see one exception type regardless of the engine underneath.
 """
@@ -39,7 +38,6 @@ from contextvars import ContextVar
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy import linalg as dense_linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -122,20 +120,6 @@ class _BlockedSuperLUFactor(_SuperLUFactor):
         return np.asarray(self._lu.solve(np.asfortranarray(rhs)))
 
 
-class _DenseCholeskyFactor(Factor):
-    """LAPACK ``cho_factor`` result; ``cho_solve`` handles multi-RHS
-    natively, which is the whole point of this backend."""
-
-    def __init__(self, c_and_lower: Tuple[np.ndarray, bool]) -> None:
-        self._c_and_lower = c_and_lower
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.asarray(dense_linalg.cho_solve(self._c_and_lower, rhs))
-
-    def solve_columns(self, rhs: np.ndarray) -> np.ndarray:
-        return np.asarray(dense_linalg.cho_solve(self._c_and_lower, rhs))
-
-
 class LinearBackend:
     """One linear-algebra engine behind the solver hot loop.
 
@@ -168,13 +152,6 @@ class LinearBackend:
             except (RuntimeError, ValueError, ArithmeticError) as exc:
                 # RuntimeError: SuperLU singular-matrix (and Arpack-
                 # family) errors; ValueError: scipy input validation.
-                raise SolverError(
-                    f"backend {self.name!r} factorization failed: {exc}"
-                ) from exc
-            except np.linalg.LinAlgError as exc:
-                # A ValueError subclass on recent numpy, but derives
-                # straight from Exception on older releases — name it
-                # explicitly so the 3.9 CI lane normalizes it too.
                 raise SolverError(
                     f"backend {self.name!r} factorization failed: {exc}"
                 ) from exc
@@ -263,30 +240,6 @@ class SparseCholeskyBackend(LinearBackend):
         return _BlockedSuperLUFactor(lu)
 
 
-class DenseCholeskyBackend(LinearBackend):
-    """Dense LAPACK Cholesky (``cho_factor`` / ``cho_solve``).
-
-    O(n^3) factorization and O(n^2) storage — the win is the true
-    multi-RHS ``cho_solve``, which amortizes beautifully for small
-    grids and large scenario counts K.  Keep it off large grids.
-    """
-
-    name = "dense"
-    bitwise = False
-    rtol = 1e-9
-
-    def _factorize(self, matrix: sparse.spmatrix) -> Factor:
-        matrix = matrix.tocsc()
-        _check_symmetric(matrix, self.name)
-        dense = matrix.toarray()
-        if not np.all(np.isfinite(dense)):
-            raise SolverError(
-                f"backend {self.name!r}: matrix contains non-finite entries"
-            )
-        c, lower = dense_linalg.cho_factor(dense)
-        return _DenseCholeskyFactor((c, lower))
-
-
 _REGISTRY: Dict[str, LinearBackend] = {}
 
 #: Dynamic-scope override installed by :func:`backend_override`; a
@@ -355,4 +308,3 @@ def backend_override(name: str) -> Iterator[LinearBackend]:
 
 register_backend(SuperLUSerialBackend())
 register_backend(SparseCholeskyBackend())
-register_backend(DenseCholeskyBackend())

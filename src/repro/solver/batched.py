@@ -3,7 +3,7 @@
 The paper's transient studies — the four oil-flow directions, the DTM
 policy sweeps of Sec. 5.1, sensor-placement ensembles, the Fig. 12
 trace runs — all integrate the *same* RC network under many power
-inputs.  Serial integration pays K factorizations and K Python
+inputs.  Integrating them one by one pays K factorizations and K Python
 stepping loops for what is mathematically one factorization applied to
 K right-hand sides.  This module carries the K scenario states as an
 ``(n_nodes, K)`` matrix and advances every column through one cached
@@ -12,19 +12,23 @@ column with exactly the serial operation order, so **each column is
 bitwise identical to running that scenario alone** — the batch changes
 the cost, never the numbers.
 
-Two entry points cover the two serial integrators:
+This is the only fixed-step integrator: the single-scenario entry
+points :func:`~repro.solver.transient.transient_simulate` and
+:func:`~repro.solver.events.simulate_schedule` run as K=1 batches.
 
-* :func:`batched_transient_simulate` mirrors
-  :func:`~repro.solver.transient.transient_simulate` (fixed ``dt``
-  grid, exact final partial step).  Piecewise-constant schedules take
-  a trace-driven fast path: segment powers are pre-stacked into
-  arrays and gathered for whole blocks of steps at once instead of
-  calling ``power_at(t)`` per scenario per step.
-* :func:`batched_simulate_schedules` mirrors
-  :func:`~repro.solver.events.simulate_schedule` (segment walking with
-  short-step insertion) for K schedules sharing one boundary grid —
-  the shape of a same-model campaign group (e.g. a Fig. 12 seed
+* :func:`batched_transient_simulate` steps a fixed ``dt`` grid with an
+  exact final partial step.  Piecewise-constant schedules take a
+  trace-driven fast path: segment powers are pre-stacked into arrays
+  and gathered for whole blocks of steps at once instead of calling
+  ``power_at(t)`` per scenario per step.
+* :func:`batched_simulate_schedules` walks the segments of K schedules
+  sharing one boundary grid, with short-step insertion at segment ends
+  — the shape of a same-model campaign group (e.g. a Fig. 12 seed
   ensemble).
+
+Every power input and initial state is checked for NaN/Inf before it
+reaches the solver, so a non-finite input fails as a
+:class:`~repro.errors.SolverError` instead of a NaN trajectory.
 """
 
 from __future__ import annotations
@@ -115,6 +119,11 @@ class BatchedTransientResult:
         )
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"{what} contains non-finite values (NaN/Inf)")
+
+
 class _PowerColumn:
     """Pre-resolved power source for one scenario column."""
 
@@ -131,6 +140,7 @@ class _ConstantColumn(_PowerColumn):
                 f"power vector has shape {self._vector.shape}, "
                 f"expected ({n_nodes},)"
             )
+        _check_finite(self._vector, "power vector")
 
     def block(self, times: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self._vector, (len(times), len(self._vector)))
@@ -146,6 +156,7 @@ class _ScheduleColumn(_PowerColumn):
                 f"schedule powers have {self._stacked.shape[1]} nodes, "
                 f"expected {n_nodes}"
             )
+        _check_finite(self._stacked, "a schedule power vector")
         self._boundaries = np.asarray(schedule.boundaries, dtype=float)
 
     def block(self, times: np.ndarray) -> np.ndarray:
@@ -167,9 +178,10 @@ class _CallableColumn(_PowerColumn):
             p = np.asarray(self._fn(float(t)), dtype=float)
             if p.shape != (self._n_nodes,):
                 raise SolverError(
-                    f"power callable returned shape {p.shape}, "
+                    f"power vector at t={t:g} has shape {p.shape}, "
                     f"expected ({self._n_nodes},)"
                 )
+            _check_finite(p, f"power vector at t={t:g}")
             out[j] = p
         return out
 
@@ -209,6 +221,7 @@ def _initial_states(
                 f"x0 of scenario {k} has shape {column.shape}, "
                 f"expected ({n_nodes},)"
             )
+        _check_finite(column, f"x0 of scenario {k}")
         x[:, k] = column
     return x
 
@@ -259,13 +272,14 @@ def batched_transient_simulate(
 ) -> BatchedTransientResult:
     """Integrate K scenarios on one network in lockstep.
 
-    Mirrors :func:`~repro.solver.transient.transient_simulate` exactly
-    — same step grid, same exact final partial step when ``dt`` does
-    not divide ``t_end``, same recording rule — so column ``k`` of the
-    result is bitwise identical to the serial call with
-    ``scenarios[k]``'s power and ``x0``.  One LU factorization (per
-    stepper) serves all K columns, and piecewise-constant schedules
-    are materialized block-wise instead of evaluated per step.
+    Steps the fixed ``dt`` grid, with one exact final partial step when
+    ``dt`` does not divide ``t_end``; records every ``record_every``-th
+    step plus the initial and final states.  Column ``k`` of the result
+    is bitwise identical to running ``scenarios[k]`` alone (which is
+    what :func:`~repro.solver.transient.transient_simulate` does, as a
+    K=1 batch).  One LU factorization (per stepper) serves all K
+    columns, and piecewise-constant schedules are materialized
+    block-wise instead of evaluated per step.
 
     The bitwise guarantee holds for ``bitwise=True`` backends (the
     default ``superlu-serial``); tolerance backends agree with their
@@ -337,10 +351,12 @@ def batched_simulate_schedules(
 ) -> BatchedTransientResult:
     """Integrate K piecewise-constant schedules in lockstep.
 
-    Mirrors :func:`~repro.solver.events.simulate_schedule` step for
-    step — the same segment walk, the same short-step insertion at
-    segment ends — so column ``k`` is bitwise identical to the serial
-    call with ``schedules[k]``.  All schedules must share one boundary
+    Walks the segments with the shared ``dt`` stepper and inserts a
+    short step wherever a segment end falls between grid points, so
+    every boundary is hit exactly.  Column ``k`` is bitwise identical
+    to running ``schedules[k]`` alone (which is what
+    :func:`~repro.solver.events.simulate_schedule` does, as a K=1
+    batch).  All schedules must share one boundary
     grid (the shape of a same-model campaign group); mismatched grids
     raise :class:`SolverError`, which campaign callers treat as "fall
     back to per-job execution".  As with
@@ -390,6 +406,10 @@ def batched_simulate_schedules(
                     f"schedule powers have {power.shape[0]} nodes, "
                     f"expected {n_nodes}"
                 )
+            _check_finite(
+                power, f"schedule power of segment {seg_index} "
+                f"(t={reference[seg_index]:g})"
+            )
             # constant within the segment: compute the method's power
             # term once instead of per step (bitwise-equal elementwise)
             p_eff = stepper.effective_power(power, power)

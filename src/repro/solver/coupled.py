@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import SolverError
 from .steady import steady_state
-from .transient import TransientResult, TrapezoidalStepper
+from .transient import TransientResult, TrapezoidalStepper, plan_fixed_steps
 
 if TYPE_CHECKING:
     from ..rcmodel.blockmodel import ThermalBlockModel
@@ -133,9 +133,10 @@ def transient_with_leakage(
     ``dynamic_power_at(t)`` returns the per-block dynamic power; the
     leakage added on top uses the block temperatures from the previous
     step (one-step lag).  Records per-block absolute temperatures.
+    When ``dt`` does not divide ``t_end`` the run ends with one exact
+    partial step, so the last record is at ``t_end``.
     """
-    if t_end <= 0 or dt <= 0:
-        raise SolverError("t_end and dt must be positive")
+    n_full, dt_final = plan_fixed_steps(t_end, dt)
     stepper = TrapezoidalStepper(model.network, dt)
     ambient = model.config.ambient
     x = np.zeros(model.n_nodes) if x0 is None else np.asarray(x0, float).copy()
@@ -146,17 +147,20 @@ def transient_with_leakage(
         leak = np.asarray(leakage(block_temps), dtype=float)
         return model.node_power(dynamic + leak)
 
-    n_steps = int(round(t_end / dt))
+    # the exact final partial step lands the run on t_end when dt does
+    # not divide it, as in transient_simulate
+    steps = [(step * dt, stepper) for step in range(1, n_full + 1)]
+    if dt_final is not None:
+        steps.append((t_end, TrapezoidalStepper(model.network, dt_final)))
     times = [0.0]
     records = [block_temps.copy()]
     p_now = node_power(0.0)
-    for step in range(1, n_steps + 1):
-        t = step * dt
+    for step, (t, step_with) in enumerate(steps, start=1):
         p_next = node_power(t)
-        x = stepper.step(x, p_now, p_next)
+        x = step_with.step(x, p_now, p_next)
         p_now = p_next
         block_temps = model.block_rise(x) + ambient
-        if step % record_every == 0 or step == n_steps:
+        if step % record_every == 0 or step == len(steps):
             times.append(t)
             records.append(block_temps.copy())
     return TransientResult(

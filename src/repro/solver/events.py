@@ -4,8 +4,8 @@ The paper's transient workloads are piecewise constant: a 6 s step on
 one block (Fig. 6), a 15 ms-on / 85 ms-off pulse train (Fig. 8), a
 power hand-off between IntReg and FPMap at 10 ms (Fig. 9), and the
 10 kcycle-sampled simulator traces of Fig. 12.  This module provides a
-schedule container plus an integrator that steps through the segments
-with a single reused factorization.
+schedule container plus :func:`simulate_schedule`, which steps through
+the segments with a single reused factorization.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
-from ..errors import PowerTraceError, SolverError
+from ..errors import PowerTraceError
 from ..rcmodel.network import ThermalNetwork
-from .transient import TransientResult, _STEPPERS
+from .transient import TransientResult
 
 
 @dataclass(frozen=True)
@@ -113,46 +112,12 @@ def simulate_schedule(
     boundaries are always hit exactly (the last step of a segment is
     shortened if needed by inserting a dedicated small-step stepper, but
     in practice experiments choose ``dt`` dividing segment lengths).
+    Runs as the single column of
+    :func:`~repro.solver.batched.batched_simulate_schedules`.
     """
-    try:
-        stepper_cls = _STEPPERS[method]
-    except KeyError:
-        raise SolverError(
-            f"unknown method {method!r}; pick from {sorted(_STEPPERS)}"
-        ) from None
-    stepper = stepper_cls(network, dt, backend=backend)
-    short_steppers = {}
+    from .batched import batched_simulate_schedules
 
-    x = np.zeros(network.n_nodes) if x0 is None else np.asarray(x0, float).copy()
-    if x.shape != (network.n_nodes,):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({network.n_nodes},)")
-
-    def observe(state: np.ndarray) -> np.ndarray:
-        return projector(state) if projector is not None else state.copy()
-
-    times: List[float] = [0.0]
-    records: List[np.ndarray] = [observe(x)]
-    now = 0.0
-    step_counter = 0
-    with obs.span("solver.transient.schedule", method=method, dt=dt,
-                  n_segments=len(schedule.powers), n_nodes=network.n_nodes):
-        for seg_index, power in enumerate(schedule.powers):
-            seg_end = schedule.boundaries[seg_index + 1]
-            while now < seg_end - 1e-12:
-                remaining = seg_end - now
-                if remaining >= dt - 1e-12:
-                    x = stepper.step(x, power)
-                    now += dt
-                else:
-                    key = round(remaining, 15)
-                    if key not in short_steppers:
-                        short_steppers[key] = stepper_cls(
-                            network, remaining, backend=backend
-                        )
-                    x = short_steppers[key].step(x, power)
-                    now = seg_end
-                step_counter += 1
-                if step_counter % record_every == 0 or now >= seg_end - 1e-12:
-                    times.append(now)
-                    records.append(observe(x))
-    return TransientResult(times=np.asarray(times), states=np.vstack(records))
+    return batched_simulate_schedules(
+        network, [schedule], dt, x0s=[x0], method=method,
+        record_every=record_every, projector=projector, backend=backend,
+    ).scenario(0)

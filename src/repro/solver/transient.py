@@ -17,13 +17,14 @@ Two steppers are provided:
 Both derive from one stepping core that accepts either a single state
 vector ``(n,)`` or a batch matrix ``(n, K)`` whose columns advance in
 lockstep through the same LU factorization — the mechanism behind
-:mod:`repro.solver.batched`.
+:mod:`repro.solver.batched`, the one fixed-step integrator;
+:func:`transient_simulate` is its K=1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -128,56 +129,38 @@ class _ImplicitStepper:
     def _factorize(self, network: ThermalNetwork) -> None:
         raise NotImplementedError
 
-    def _rhs(self, x: np.ndarray, p_now: np.ndarray,
-             p_next: Optional[np.ndarray]) -> np.ndarray:
-        raise NotImplementedError
-
-    def _solve_columns(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve a multi-column RHS under the backend's contract.
-
-        For bitwise backends each column is solved separately against
-        the shared factorization — the exact serial operation
-        sequence, because SuperLU's blocked multi-RHS kernel cannot be
-        certified bitwise (on a 400-node EV6 grid a blocked K=8 solve
-        tracks the per-column results for ~400 steps and then rounds
-        one element differently; the divergence is value-dependent).
-        Tolerance backends route through their blocked kernels and the
-        "batch column == stepping that scenario alone" guarantee
-        weakens to the backend's documented rtol envelope.
-        """
-        return self._factor.solve_columns(rhs)
-
     def step(self, x: np.ndarray, p_now: np.ndarray,
              p_next: Optional[np.ndarray] = None) -> np.ndarray:
         """One time step from state(s) ``x`` under the given power(s)."""
-        rhs = self._rhs(x, p_now, p_next)
-        _STEPS.inc()
-        if rhs.ndim == 2:
-            return self._solve_columns(rhs)
-        return self._factor.solve(rhs)
+        return self.step_effective(
+            x, self.effective_power(p_now, p_now if p_next is None else p_next)
+        )
 
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
         """The power term this method's RHS adds for one step.
 
         Vectorizes over any leading axes (elementwise, so precomputing
-        a whole block of steps at once is bitwise identical to the
-        per-step expression in ``_rhs``).
+        a whole block of steps at once is bitwise identical to computing
+        it step by step).
         """
         raise NotImplementedError
 
     def step_effective(self, x: np.ndarray,
                        p_eff: np.ndarray) -> np.ndarray:
-        """Batched step with a precomputed :meth:`effective_power` term.
+        """One step with a precomputed :meth:`effective_power` term.
 
-        The hot loop of :mod:`repro.solver.batched`: identical numbers
-        to :meth:`step`, minus the per-step power arithmetic.
+        The hot loop of :mod:`repro.solver.batched`.  A 2-D right-hand
+        side goes through ``Factor.solve_columns``, which bitwise
+        backends solve column by column in the serial operation order
+        (DESIGN.md §5.4); tolerance backends use blocked kernels and
+        match within their documented rtol envelope.
         """
         rhs = self._rhs_state(x)
         rhs += p_eff
         _STEPS.inc()
         if rhs.ndim == 2:
-            return self._solve_columns(rhs)
+            return self._factor.solve_columns(rhs)
         return self._factor.solve(rhs)
 
     def _rhs_state(self, x: np.ndarray) -> np.ndarray:
@@ -199,16 +182,6 @@ class TrapezoidalStepper(_ImplicitStepper):
         a = network.system_matrix
         self._factor = self.backend.factorize((c_over_dt + 0.5 * a).tocsc())
         self._rhs_matrix = (c_over_dt - 0.5 * a).tocsr()
-
-    def _rhs(self, x: np.ndarray, p_now: np.ndarray,
-             p_next: Optional[np.ndarray]) -> np.ndarray:
-        if p_next is None:
-            p_next = p_now
-        if x.ndim == 2:
-            out = self.backend.matvec(self._rhs_matrix, x)
-            out += 0.5 * (p_now + p_next)
-            return out
-        return self._rhs_matrix @ x + 0.5 * (p_now + p_next)
 
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
@@ -235,13 +208,6 @@ class BackwardEulerStepper(_ImplicitStepper):
         self._factor = self.backend.factorize(
             (sparse.diags(self._c_over_dt) + a).tocsc()
         )
-
-    def _rhs(self, x: np.ndarray, p_now: np.ndarray,
-             p_next: Optional[np.ndarray]) -> np.ndarray:
-        p_end = p_now if p_next is None else p_next
-        if x.ndim == 2:
-            return self._c_over_dt[:, None] * x + p_end
-        return self._c_over_dt * x + p_end
 
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
@@ -303,67 +269,18 @@ def transient_simulate(
     backend:
         Linear-algebra backend name (see :mod:`repro.solver.backends`);
         ``None`` follows the documented selection precedence.
+
+    Runs as the single column of
+    :func:`~repro.solver.batched.batched_transient_simulate`, the one
+    fixed-step integrator.
     """
-    if record_every < 1:
-        raise SolverError("record_every must be >= 1")
-    stepper_cls = stepper_class(method)
-    n_full, dt_final = plan_fixed_steps(t_end, dt)
-    stepper = stepper_cls(network, dt, backend=backend)
+    from .batched import BatchScenario, batched_transient_simulate
 
-    n_steps = n_full + (1 if dt_final is not None else 0)
-    def checked_power(values: Any, t: float) -> np.ndarray:
-        vector = np.asarray(values, dtype=float)
-        if vector.shape != (network.n_nodes,):
-            raise SolverError(
-                f"power vector at t={t:g} has shape {vector.shape}, "
-                f"expected ({network.n_nodes},)"
-            )
-        if not np.all(np.isfinite(vector)):
-            raise SolverError(
-                f"power vector at t={t:g} contains non-finite values "
-                "(NaN/Inf); check the power schedule before simulating"
-            )
-        return vector
-
-    if callable(power):
-        schedule = power
-        power_at = lambda t: checked_power(schedule(t), t)  # noqa: E731
-    else:
-        constant = checked_power(power, 0.0)
-        power_at = lambda _t: constant  # noqa: E731 - trivial closure
-
-    x = np.zeros(network.n_nodes) if x0 is None else np.asarray(x0, float).copy()
-    if x.shape != (network.n_nodes,):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({network.n_nodes},)")
-    if not np.all(np.isfinite(x)):
-        raise SolverError("x0 contains non-finite values (NaN/Inf)")
-
-    def observe(state: np.ndarray) -> np.ndarray:
-        return projector(state) if projector is not None else state.copy()
-
-    times: List[float] = [0.0]
-    records: List[np.ndarray] = [observe(x)]
-    p_now = np.asarray(power_at(0.0), dtype=float)
-    with obs.span("solver.transient.simulate", method=method,
-                  n_steps=n_steps, dt=dt, n_nodes=network.n_nodes):
-        for step_index in range(1, n_full + 1):
-            t_next = step_index * dt
-            p_next = np.asarray(power_at(t_next), dtype=float)
-            x = stepper.step(x, p_now, p_next)
-            p_now = p_next
-            if step_index % record_every == 0 or step_index == n_steps:
-                times.append(t_next)
-                records.append(observe(x))
-        if dt_final is not None:
-            # exact final partial step: a misaligned dt must not
-            # silently shrink or stretch the simulated horizon
-            final_stepper = stepper_cls(network, dt_final, backend=backend)
-            p_next = np.asarray(power_at(t_end), dtype=float)
-            x = final_stepper.step(x, p_now, p_next)
-            times.append(t_end)
-            records.append(observe(x))
-    states = np.vstack(records) if records[0].ndim else np.asarray(records)
-    return TransientResult(times=np.asarray(times), states=states)
+    return batched_transient_simulate(
+        network, [BatchScenario(power=power, x0=x0)], t_end, dt,
+        method=method, record_every=record_every, projector=projector,
+        backend=backend,
+    ).scenario(0)
 
 
 def transient_step_response(

@@ -1,9 +1,9 @@
 """The pluggable linear-algebra backend layer.
 
 Pins the backend contract of DESIGN.md §5.5: ``superlu-serial``
-results are bitwise identical to the historical engines, tolerance
-backends (``cholesky``, ``dense``) agree with the reference within
-their declared rtol envelope, selection follows the documented
+results are bitwise identical to the historical engines, the tolerance
+backend (``cholesky``) agrees with the reference within its declared
+rtol envelope, selection follows the documented
 precedence (explicit arg > override scope > env var > default), every
 backend's factorization failure surfaces as :class:`SolverError`, and
 backend identity keys both the steady factor cache and the campaign
@@ -39,7 +39,7 @@ from repro.solver.backends import (
 )
 from repro.solver.steady import _FACTOR_CACHE_ATTR, system_fingerprint
 
-ALL_BACKENDS = ("superlu-serial", "cholesky", "dense")
+ALL_BACKENDS = ("superlu-serial", "cholesky")
 TOLERANCE_BACKENDS = tuple(
     n for n in ALL_BACKENDS if not get_backend(n).bitwise
 )
@@ -90,6 +90,7 @@ def _floating_node_network():
 
 
 def test_all_three_backends_registered():
+    assert available_backends() == ("cholesky", "superlu-serial")
     assert set(ALL_BACKENDS) <= set(available_backends())
 
 
@@ -114,19 +115,19 @@ def test_unknown_backend_raises_solver_error():
 
 
 def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "dense")
-    assert get_backend().name == "dense"
+    monkeypatch.setenv(ENV_VAR, "cholesky")
+    assert get_backend().name == "cholesky"
     monkeypatch.setenv(ENV_VAR, "")  # empty: fall through to default
     assert get_backend().name == DEFAULT_BACKEND
 
 
 def test_override_beats_env_var_and_explicit_beats_override(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "dense")
-    with backend_override("cholesky") as scoped:
-        assert scoped.name == "cholesky"
-        assert get_backend().name == "cholesky"
-        assert get_backend("superlu-serial").name == "superlu-serial"
-    assert get_backend().name == "dense"
+    monkeypatch.setenv(ENV_VAR, "cholesky")
+    with backend_override("superlu-serial") as scoped:
+        assert scoped.name == "superlu-serial"
+        assert get_backend().name == "superlu-serial"
+        assert get_backend("cholesky").name == "cholesky"
+    assert get_backend().name == "cholesky"
 
 
 def test_override_validates_eagerly():
@@ -136,10 +137,10 @@ def test_override_validates_eagerly():
 
 
 def test_override_scopes_nest_and_restore():
-    with backend_override("dense"):
-        with backend_override("cholesky"):
-            assert get_backend().name == "cholesky"
-        assert get_backend().name == "dense"
+    with backend_override("cholesky"):
+        with backend_override("superlu-serial"):
+            assert get_backend().name == "superlu-serial"
+        assert get_backend().name == "cholesky"
     assert get_backend().name == DEFAULT_BACKEND
 
 
@@ -407,18 +408,18 @@ def test_campaign_backend_propagates_to_jobs():
         jobs=(
             JobSpec.make("steady", "a", model=ModelSpec()),
             JobSpec.make("steady", "b", model=ModelSpec(),
-                         backend="dense"),
+                         backend="superlu-serial"),
         ),
         backend="cholesky",
     )
     assert spec.jobs[0].backend == "cholesky"  # campaign default applied
-    assert spec.jobs[1].backend == "dense"  # job-explicit wins
+    assert spec.jobs[1].backend == "superlu-serial"  # job-explicit wins
     plain = CampaignSpec(
         name="c",
         jobs=(
             JobSpec.make("steady", "a", model=ModelSpec()),
             JobSpec.make("steady", "b", model=ModelSpec(),
-                         backend="dense"),
+                         backend="superlu-serial"),
         ),
     )
     assert spec.content_hash != plain.content_hash
@@ -428,9 +429,9 @@ def test_campaign_runs_under_pinned_backend(ev6_model):
     """An executed job resolves solver calls to the spec's backend."""
     from repro.campaign.executor import _backend_scope
 
-    spec = JobSpec.make("steady", "a", model=ModelSpec(), backend="dense")
+    spec = JobSpec.make("steady", "a", model=ModelSpec(), backend="cholesky")
     with _backend_scope(spec):
-        assert backends.get_backend().name == "dense"
+        assert backends.get_backend().name == "cholesky"
     assert backends.get_backend().name == DEFAULT_BACKEND
 
 

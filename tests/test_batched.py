@@ -162,6 +162,30 @@ def test_batch_validation(model, powers):
         result.index_of("nope")
 
 
+def test_batched_transient_rejects_nonfinite_inputs(model, powers):
+    net = model.network
+    nan_power = powers[0].copy()
+    nan_power[3] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        batched_transient_simulate(
+            net, [BatchScenario(power=powers[1]), BatchScenario(power=nan_power)],
+            t_end=0.1, dt=0.01,
+        )
+    nan_schedule = PiecewiseConstantSchedule((0.0, 0.1), (nan_power,))
+    with pytest.raises(SolverError, match="non-finite"):
+        batched_transient_simulate(
+            net, [BatchScenario(power=nan_schedule)], t_end=0.1, dt=0.01
+        )
+    inf_x0 = np.zeros(net.n_nodes)
+    inf_x0[0] = np.inf
+    with pytest.raises(SolverError, match="x0 of scenario 1.*non-finite"):
+        batched_transient_simulate(
+            net, [BatchScenario(power=powers[0]),
+                  BatchScenario(power=powers[1], x0=inf_x0)],
+            t_end=0.1, dt=0.01,
+        )
+
+
 # --- batched_simulate_schedules ----------------------------------------------
 
 
@@ -219,6 +243,30 @@ def test_mismatched_boundary_grids_rejected(model):
     )
     with pytest.raises(SolverError):
         batched_simulate_schedules(net, [a, b], dt=0.01)
+
+
+def _schedules_with_nan_segment(net):
+    rng = np.random.default_rng(2)
+    good = PiecewiseConstantSchedule(
+        (0.0, 0.1, 0.2),
+        tuple(rng.uniform(0.0, 2.0, net.n_nodes) for _ in range(2)),
+    )
+    hot = good.powers[1].copy()
+    hot[-1] = np.nan
+    return good, PiecewiseConstantSchedule((0.0, 0.1, 0.2),
+                                           (good.powers[0], hot))
+
+
+def test_batched_schedules_reject_nonfinite_segment(model):
+    good, bad = _schedules_with_nan_segment(model.network)
+    with pytest.raises(SolverError, match="segment 1.*non-finite"):
+        batched_simulate_schedules(model.network, [good, bad], dt=0.01)
+
+
+def test_simulate_schedule_rejects_nonfinite_segment(model):
+    _, bad = _schedules_with_nan_segment(model.network)
+    with pytest.raises(SolverError, match="segment 1.*non-finite"):
+        simulate_schedule(model.network, bad, dt=0.01)
 
 
 # --- campaign batch execution ------------------------------------------------
@@ -314,7 +362,7 @@ def test_run_dtm_batch_bitwise_identical_to_serial():
     from repro.campaign import ModelSpec
     from repro.campaign.runners import dtm_setup
     from repro.campaign.spec import JobSpec
-    from repro.dtm.batch import run_dtm_batch
+    from repro.dtm.controller import run_dtm_batch
 
     model = ModelSpec(chip="ev6", package="oil", nx=8, ny=8,
                       uniform_h=True, target_resistance=1.0,
@@ -348,7 +396,7 @@ def test_run_dtm_batch_rejects_mixed_models_and_grids():
     from repro.campaign import ModelSpec
     from repro.campaign.runners import dtm_setup
     from repro.campaign.spec import JobSpec
-    from repro.dtm.batch import run_dtm_batch
+    from repro.dtm.controller import run_dtm_batch
 
     spec_of = ModelSpec(chip="ev6", package="oil", nx=8, ny=8,
                         uniform_h=True, target_resistance=1.0,

@@ -128,6 +128,28 @@ class TestCoupledTransient:
             result.final(), steady.block_temps, rtol=0.02
         )
 
+    def test_horizon_is_not_rounded(self, oil_model):
+        leakage = exp_leakage(oil_model.floorplan)
+        dynamic = np.full(4, 5.0)
+        # dt does not divide t_end: one exact partial step lands on it
+        result = transient_with_leakage(
+            oil_model, lambda _t: dynamic, leakage, t_end=0.0105, dt=0.002
+        )
+        assert result.times[-1] == 0.0105  # repro-ok: float-equality; exact horizon
+        np.testing.assert_allclose(
+            result.times, [0.0, 0.002, 0.004, 0.006, 0.008, 0.01, 0.0105]
+        )
+        longer = transient_with_leakage(
+            oil_model, lambda _t: dynamic, leakage, t_end=0.01, dt=0.002
+        )
+        assert np.all(result.final() > longer.final())  # still heating
+        # a horizon shorter than one step is an error, not a t=0 record
+        with pytest.raises(SolverError, match="shorter than one step"):
+            transient_with_leakage(
+                oil_model, lambda _t: dynamic, leakage, t_end=0.0009,
+                dt=0.002,
+            )
+
 
 class TestTranslation:
     @pytest.fixture(scope="class")
