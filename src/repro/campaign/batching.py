@@ -156,11 +156,12 @@ def batch_dtm_policy(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
 
     One model, one factorization, K controllers advancing together
     through :func:`~repro.dtm.controller.run_dtm_batch`; each job's
-    controller and pulse-train stimulus is configured by the same
-    :func:`~repro.campaign.runners.dtm_setup` the serial runner uses.
+    controller and pulse-train stimulus comes from
+    :func:`~repro.campaign.runners.dtm_setup`.  The per-job
+    :func:`~repro.campaign.runners.run_dtm_policy` is the one-job call.
     """
     from ..dtm.controller import run_dtm_batch
-    from .runners import dtm_result, dtm_setup
+    from .runners import dtm_setup
 
     assert specs and specs[0].model is not None
     model = specs[0].model.build()
@@ -170,6 +171,14 @@ def batch_dtm_policy(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
         [trace for _, trace in pairs],
     )
     return {
-        spec.tag: dtm_result(run, model)
+        spec.tag: JobResult(
+            scalars={
+                "peak_temperature_k": run.peak_temperature,
+                "performance": run.performance,
+                "engaged_fraction": run.engaged_fraction,
+                "n_engagements": float(run.n_engagements),
+            },
+            meta={"ambient_k": model.config.ambient},
+        )
         for spec, run in zip(specs, runs)
     }

@@ -5,15 +5,17 @@ Execution of one campaign proceeds in three steps:
 1. **Cache probe** — each job's content hash is looked up in the
    result cache (when one is configured); hits short-circuit without
    ever reaching a worker.
-2. **Fan-out** — misses run on a ``ProcessPoolExecutor`` with
-   ``--jobs`` workers.  Failures retry with exponential backoff up to
-   ``retries`` times; a per-job ``timeout`` (measured from the moment
-   the engine starts waiting on that job) marks stragglers failed and
-   abandons their worker.  If the pool itself cannot be created (no
-   ``fork``/``spawn``, sandboxed ``/dev/shm``, ...), or ``jobs <= 1``,
-   the engine degrades gracefully to serial in-process execution with
-   identical results — only the timeout is then advisory (a running
-   job cannot be interrupted in-process).
+2. **Fan-out** — misses go through one job loop: submit every job to
+   an executor, then wait on each in order.  ``jobs > 1`` uses a
+   ``ProcessPoolExecutor``; ``jobs == 1``, or a pool that cannot start
+   (no ``fork``/``spawn``, sandboxed ``/dev/shm``, ...), uses an
+   in-process executor that runs each job when its result is read —
+   identical results, only the timeout is then advisory.  Failures
+   retry with exponential backoff up to ``retries`` times; a per-job
+   ``timeout`` (measured from the moment the loop starts waiting on
+   that job) marks stragglers failed and abandons their worker.  A
+   worker that dies mid-run fails every unfinished job
+   (``BrokenProcessPool``); none is rerun in this process.
 3. **Record** — fresh results are stored back to the cache and every
    job appends a manifest record; the run closes with a summary
    (hit rate, p50/p95 job latency, aggregated metrics).
@@ -32,9 +34,11 @@ the JSONL manifest.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import os
 import time
+from concurrent.futures import BrokenExecutor, Executor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import (
@@ -92,60 +96,46 @@ def execute_job(
 ) -> WorkerReturn:
     """Run one job in the current process (the worker entry point).
 
-    Module-level so it pickles to pool workers.  With ``capture`` the
-    job runs under a forced-on tracer span and the return carries an
-    observability record: the serialized span tree, a flat metrics
-    delta for manifests, and the structured delta snapshot for merging
-    into the parent registry.
-
-    With ``stream`` the job additionally publishes live telemetry
-    while it runs — a ``job_started`` event plus heartbeats carrying
-    the cumulative metric delta since start (see
-    :mod:`repro.obs.events`).  Streaming is strictly advisory: events
-    are dropped rather than ever blocking the job, and the returned
-    capture record is byte-for-byte what a streaming-disabled run
-    produces (the authoritative ``job_finished`` is emitted by the
-    parent from this return value).
+    Module-level so it pickles to pool workers.  ``capture`` adds a
+    forced-on ``campaign.job`` span and returns an observability record:
+    the serialized span tree, a flat metrics delta for manifests, and
+    the structured delta snapshot for merging into the parent registry.
+    With ``stream`` the job also publishes ``job_started`` and heartbeat
+    events while it runs (see :mod:`repro.obs.events`); they are
+    advisory and never change the return value.
     """
     start = time.perf_counter()
     registry = obs.metrics()
-    if not capture:
-        before = registry.snapshot() if stream is not None else None
-        _, heartbeat = obs.job_telemetry(
-            stream, spec.tag, spec.kind, registry, before
-        )
-        try:
-            with _backend_scope(spec):
-                result = get_runner(spec.kind)(spec)
-        finally:
-            if heartbeat is not None:
-                heartbeat.stop()
-        return result, time.perf_counter() - start, os.getpid(), None
-
     tracer = obs.tracer()
     was_enabled = tracer.enabled
-    tracer.enabled = True
-    before = registry.snapshot()
+    tracer.enabled = was_enabled or capture
+    before = registry.snapshot() if capture else None
     _, heartbeat = obs.job_telemetry(
         stream, spec.tag, spec.kind, registry, before
     )
+    job_scope: ContextManager[Any] = (
+        obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
+                 tracer=tracer)
+        if capture else contextlib.nullcontext()
+    )
     try:
-        with obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
-                      tracer=tracer) as job_span:
+        with job_scope as job_span:
             with _backend_scope(spec):
                 result = get_runner(spec.kind)(spec)
     finally:
         tracer.enabled = was_enabled
         if heartbeat is not None:
             heartbeat.stop()
-    delta = obs.snapshot_diff(registry.snapshot(), before)
-    capture_record: Dict[str, Any] = {
-        "pid": os.getpid(),
-        "span": job_span.to_dict(),
-        "metrics": obs.flatten_snapshot(delta),
-        "snapshot": delta,
-    }
-    return result, time.perf_counter() - start, os.getpid(), capture_record
+    captured: Optional[Dict[str, Any]] = None
+    if before is not None:
+        delta = obs.snapshot_diff(registry.snapshot(), before)
+        captured = {
+            "pid": os.getpid(),
+            "span": job_span.to_dict(),
+            "metrics": obs.flatten_snapshot(delta),
+            "snapshot": delta,
+        }
+    return result, time.perf_counter() - start, os.getpid(), captured
 
 
 @dataclass
@@ -269,24 +259,21 @@ def _backoff_sleep(
         time.sleep(backoff * (2 ** attempt))
 
 
-def _report(
-    outcome: JobOutcome, progress: Optional[Callable[[str], None]]
+def _publish(
+    outcome: JobOutcome,
+    progress: Optional[Callable[[str], None]],
+    stream: Optional[obs.EventStream],
 ) -> None:
-    line = _progress_line(outcome)
-    logger.info(line)
-    if progress is not None:
-        progress(line)
-
-
-def _emit_outcome(
-    stream: Optional[obs.EventStream], outcome: JobOutcome
-) -> None:
-    """Publish the parent-side authoritative completion event.
+    """Report one finished job: its progress line and completion event.
 
     Completion events come from the parent's outcome — not the worker —
     so failures, timeouts, and cache hits all stream uniformly, and a
     worker whose events were dropped still gets a correct final record.
     """
+    line = _progress_line(outcome)
+    logger.info(line)
+    if progress is not None:
+        progress(line)
     if stream is None:
         return
     if outcome.status == "cached":
@@ -302,48 +289,34 @@ def _emit_outcome(
     )
 
 
-def _run_serial(
-    pending: List[JobSpec],
-    retries: int,
-    backoff: float,
-    progress: Optional[Callable[[str], None]],
-    capture: bool,
-    stream: Optional[obs.EventStream] = None,
-) -> Dict[str, JobOutcome]:
-    stream_cfg = stream.local_config() if stream is not None else None
-    outcomes: Dict[str, JobOutcome] = {}
-    for spec in pending:
-        attempt = 0
-        while True:
-            _ATTEMPTS.inc()
+class _DeferredFuture(Future[Any]):
+    """A future whose call runs in this process when its result is read."""
+
+    def __init__(self, call: Callable[[], Any]) -> None:
+        super().__init__()
+        self._call = call
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        # ``timeout`` is advisory: a running call cannot be interrupted.
+        if not self.done():
             try:
-                result, wall, pid, captured = execute_job(
-                    spec, capture, stream_cfg
-                )
-                _JOB_SECONDS.observe(wall)
-                outcomes[spec.tag] = JobOutcome(
-                    spec=spec, status="ok", result=result, wall_s=wall,
-                    worker=str(pid), retries=attempt, obs=captured,
-                )
-                break
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                if attempt < retries:
-                    logger.debug("job %s attempt %d failed (%s); retrying",
-                                 spec.tag, attempt + 1, exc)
-                    _RETRIES.inc()
-                    _backoff_sleep(backoff, attempt)
-                    attempt += 1
-                    continue
-                _FAILURES.inc()
-                outcomes[spec.tag] = JobOutcome(
-                    spec=spec, status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    worker=str(os.getpid()), retries=attempt,
-                )
-                break
-        _report(outcomes[spec.tag], progress)
-        _emit_outcome(stream, outcomes[spec.tag])
-    return outcomes
+                self.set_result(self._call())
+            except Exception as exc:  # noqa: BLE001 - re-raised just below
+                self.set_exception(exc)
+        return super().result()
+
+
+class _InProcessExecutor(Executor):
+    """Runs each job in this process when its result is read: job by job."""
+
+    def submit(  # type: ignore[override]
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> Future[Any]:
+        return _DeferredFuture(functools.partial(fn, *args, **kwargs))
+
+
+class _PoolUnavailable(Exception):
+    """The pool could not be created or refused its first job."""
 
 
 def _run_batched(
@@ -428,14 +401,28 @@ def _run_batched(
                 spec=spec, status="ok", result=results[spec.tag],
                 wall_s=wall, worker="batched", obs=captured,
             )
-            _report(outcomes[spec.tag], progress)
-            _emit_outcome(stream, outcomes[spec.tag])
+            _publish(outcomes[spec.tag], progress, stream)
     return outcomes, rest
 
 
-def _run_parallel(
+def _submit(
+    executor: Executor,
+    spec: JobSpec,
+    capture: bool,
+    stream_cfg: Optional[obs.StreamConfig],
+) -> Future[Any]:
+    """Submit one job; a refused submit comes back as a failed future."""
+    try:
+        return executor.submit(execute_job, spec, capture, stream_cfg)
+    except Exception as exc:  # noqa: BLE001 - a broken pool refuses work
+        refused: Future[Any] = Future()
+        refused.set_exception(exc)
+        return refused
+
+
+def _run_jobs(
+    executor: Executor,
     pending: List[JobSpec],
-    jobs: int,
     timeout: Optional[float],
     retries: int,
     backoff: float,
@@ -443,44 +430,56 @@ def _run_parallel(
     capture: bool,
     stream: Optional[obs.EventStream] = None,
 ) -> Dict[str, JobOutcome]:
-    from concurrent.futures import ProcessPoolExecutor
+    """Submit every pending job, then wait, retry and record each in order.
 
+    The one job loop for a process pool and the in-process executor
+    alike.  Raises :class:`_PoolUnavailable` when the first submit
+    fails; nothing has run then.  A job whose worker died
+    (``BrokenExecutor``) ends ``failed`` without a retry.
+    """
     # Only a cross-process-capable stream (a manager-backed queue) can
     # be pickled out to pool workers; otherwise workers run silent and
     # the parent still emits the completion events.
-    stream_cfg = stream.worker_config() if stream is not None else None
+    stream_cfg = None
+    if stream is not None:
+        stream_cfg = (stream.local_config()
+                      if isinstance(executor, _InProcessExecutor)
+                      else stream.worker_config())
     outcomes: Dict[str, JobOutcome] = {}
-    pool = ProcessPoolExecutor(max_workers=jobs)
     abandoned = False
     try:
-        futures = [
-            (pool.submit(execute_job, spec, capture, stream_cfg), spec)
-            for spec in pending
-        ]
+        try:
+            futures = [executor.submit(execute_job, pending[0], capture,
+                                       stream_cfg)]
+        except Exception as exc:  # noqa: BLE001 - classified by the caller
+            raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
+        futures += [_submit(executor, spec, capture, stream_cfg)
+                    for spec in pending[1:]]
         _ATTEMPTS.inc(len(futures))
-        for fut, spec in futures:
+        for fut, spec in zip(futures, pending):
             attempt = 0
             while True:
                 try:
                     result, wall, pid, captured = fut.result(timeout=timeout)
                     _JOB_SECONDS.observe(wall)
-                    outcomes[spec.tag] = JobOutcome(
+                    outcome = JobOutcome(
                         spec=spec, status="ok", result=result, wall_s=wall,
                         worker=str(pid), retries=attempt, obs=captured,
                     )
-                    break
-                except FutureTimeoutError:
-                    fut.cancel()
-                    abandoned = True
-                    _TIMEOUTS.inc()
-                    outcomes[spec.tag] = JobOutcome(
-                        spec=spec, status="timeout",
-                        error=f"exceeded {timeout:g} s budget",
-                        wall_s=float(timeout), retries=attempt,
-                    )
-                    break
                 except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                    if attempt < retries:
+                    # a TimeoutError the job raised itself is a failure
+                    if isinstance(exc, FutureTimeoutError) and not fut.done():
+                        fut.cancel()
+                        abandoned = True
+                        _TIMEOUTS.inc()
+                        outcome = JobOutcome(
+                            spec=spec, status="timeout",
+                            error=f"exceeded {timeout:g} s budget",
+                            wall_s=float(timeout or 0.0), retries=attempt,
+                        )
+                    # a dead worker broke the pool: a retry could only
+                    # fail again, and must never run the job here instead
+                    elif attempt < retries and not isinstance(exc, BrokenExecutor):
                         logger.debug(
                             "job %s attempt %d failed (%s); retrying",
                             spec.tag, attempt + 1, exc,
@@ -489,23 +488,33 @@ def _run_parallel(
                         _backoff_sleep(backoff, attempt)
                         attempt += 1
                         _ATTEMPTS.inc()
-                        fut = pool.submit(execute_job, spec, capture,
-                                          stream_cfg)
+                        fut = _submit(executor, spec, capture, stream_cfg)
                         continue
-                    _FAILURES.inc()
-                    outcomes[spec.tag] = JobOutcome(
-                        spec=spec, status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        retries=attempt,
-                    )
-                    break
-            _report(outcomes[spec.tag], progress)
-            _emit_outcome(stream, outcomes[spec.tag])
+                    else:
+                        _FAILURES.inc()
+                        outcome = JobOutcome(
+                            spec=spec, status="failed",
+                            error=f"{type(exc).__name__}: {exc}",
+                            retries=attempt,
+                        )
+                break
+            outcomes[spec.tag] = outcome
+            _publish(outcome, progress, stream)
     finally:
         # A timed-out worker cannot be interrupted; don't block the
         # campaign on it — abandon the pool and let it drain on exit.
-        pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
+        executor.shutdown(wait=not abandoned, cancel_futures=abandoned)
     return outcomes
+
+
+def _open_pool(jobs: int) -> Executor:
+    """A ``jobs``-worker process pool, or :class:`_PoolUnavailable`."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        return ProcessPoolExecutor(max_workers=jobs)
+    except Exception as exc:  # noqa: BLE001 - no fork/spawn, no /dev/shm, ...
+        raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _progress_line(outcome: JobOutcome) -> str:
@@ -515,17 +524,16 @@ def _progress_line(outcome: JobOutcome) -> str:
     return f"[{status:>7}] {outcome.spec.tag}: {detail}{retry_note}"
 
 
-def _aggregate_metrics(
-    run: CampaignRun, n_cached: int, n_fresh: int
-) -> Dict[str, float]:
+def _aggregate_metrics(run: CampaignRun) -> Dict[str, float]:
     """Fold per-job metric deltas plus engine counters for the summary."""
     totals: Dict[str, float] = {}
     for outcome in run.outcomes:
         if outcome.obs:
             for name, value in outcome.obs.get("metrics", {}).items():
                 totals[name] = totals.get(name, 0.0) + float(value)
-    totals["campaign.cache.hits"] = float(n_cached)
-    totals["campaign.cache.misses"] = float(n_fresh)
+    hits = sum(1 for o in run.outcomes if o.status == "cached")
+    totals["campaign.cache.hits"] = float(hits)
+    totals["campaign.cache.misses"] = float(len(run.outcomes) - hits)  # batched too
     batched = sum(1 for o in run.outcomes if o.worker == "batched")
     if batched:
         totals["campaign.jobs.batched"] = float(batched)
@@ -554,12 +562,16 @@ def run_campaign(
 ) -> CampaignRun:
     """Execute a campaign; see the module docstring for semantics.
 
+    A pool that cannot start reruns the job loop in-process; a worker
+    that dies mid-run fails the unfinished jobs, and the run still
+    returns, caches the finished ones and writes its manifest.
+
     Parameters
     ----------
     campaign:
         The declarative campaign to run.
     jobs:
-        Worker processes; ``1`` runs serially in-process.
+        Worker processes; ``1`` runs the jobs one by one in-process.
     cache:
         Content-addressed result store; ``None`` disables caching.
     manifest_path:
@@ -629,8 +641,7 @@ def run_campaign(
                             wall_s=time.perf_counter() - probe_start,
                             worker="cache",
                         )
-                        _report(cached[spec.tag], progress)
-                        _emit_outcome(stream, cached[spec.tag])
+                        _publish(cached[spec.tag], progress, stream)
                         continue
                 pending.append(spec)
             probe.annotate(hits=len(cached), misses=len(pending))
@@ -639,26 +650,20 @@ def run_campaign(
         if pending and batch:
             fresh, pending = _run_batched(pending, progress, capture, stream)
         if pending:
-            use_pool = jobs > 1 and len(pending) > 1
-            if use_pool:
-                try:
-                    fresh.update(_run_parallel(
-                        pending, jobs, timeout, retries, backoff, progress,
-                        capture, stream,
-                    ))
-                    run.parallel = True
-                except Exception as exc:  # pool unavailable: degrade to serial
-                    note = (f"process pool unavailable "
-                            f"({type(exc).__name__}: {exc}); running serially")
-                    logger.warning(note)
-                    if progress:
-                        progress(f"[  NOTE ] {note}")
-                    use_pool = False
-            if not use_pool:
-                fresh.update(
-                    _run_serial(pending, retries, backoff, progress, capture,
-                                stream)
-                )
+            loop_args = (pending, timeout, retries, backoff, progress,
+                         capture, stream)
+            try:
+                executor = (_open_pool(jobs) if jobs > 1 and len(pending) > 1
+                            else _InProcessExecutor())
+                fresh.update(_run_jobs(executor, *loop_args))
+            except _PoolUnavailable as exc:
+                note = f"process pool unavailable ({exc}); running serially"
+                logger.warning(note)
+                if progress:
+                    progress(f"[  NOTE ] {note}")
+                executor = _InProcessExecutor()
+                fresh.update(_run_jobs(executor, *loop_args))
+            run.parallel = not isinstance(executor, _InProcessExecutor)
 
         # Fold worker-side metric deltas into this process's registry so
         # pool runs and serial runs leave identical global counts.
@@ -680,7 +685,7 @@ def run_campaign(
         records = [outcome.record(campaign.name) for outcome in run.outcomes]
         run.summary = summarize(
             campaign.name, records, time.perf_counter() - start,
-            metrics=_aggregate_metrics(run, len(cached), len(pending)),
+            metrics=_aggregate_metrics(run),
         )
         if manifest_path:
             writer = ManifestWriter(manifest_path)

@@ -155,9 +155,8 @@ def run_package_metrics(spec: JobSpec) -> JobResult:
 def dtm_setup(spec: JobSpec, model: Any) -> Tuple[Any, Any]:
     """Build the (controller, trace) pair a ``dtm_policy`` job describes.
 
-    Shared by the serial runner below and the batched group runner in
-    :mod:`repro.campaign.batching`, which builds the model once and
-    calls this per job so both paths configure identical simulations.
+    Called per job by :func:`repro.campaign.batching.batch_dtm_policy`
+    after it builds the model once.
     """
     from ..dtm import ClockGating, DTMController, DVFS, FetchThrottle
     from ..power import pulse_train
@@ -203,19 +202,6 @@ def dtm_setup(spec: JobSpec, model: Any) -> Tuple[Any, Any]:
     return controller, trace
 
 
-def dtm_result(run: Any, model: Any) -> JobResult:
-    """Package one DTM run as a job result (serial and batched paths)."""
-    return JobResult(
-        scalars={
-            "peak_temperature_k": run.peak_temperature,
-            "performance": run.performance,
-            "engaged_fraction": run.engaged_fraction,
-            "n_engagements": float(run.n_engagements),
-        },
-        meta={"ambient_k": model.config.ambient},
-    )
-
-
 @runner("dtm_policy")
 def run_dtm_policy(spec: JobSpec) -> JobResult:
     """One closed-loop DTM simulation (package x policy comparison).
@@ -224,10 +210,9 @@ def run_dtm_policy(spec: JobSpec) -> JobResult:
     Fig. 8-style stimulus of the DTM bench); the policy is selected by
     name with one ``strength`` knob and optional ``targets``.
     """
-    model = spec.model.build()
-    controller, trace = dtm_setup(spec, model)
-    run = controller.run(trace)
-    return dtm_result(run, model)
+    from .batching import batch_dtm_policy
+
+    return batch_dtm_policy([spec])[spec.tag]
 
 
 def _claim_attempt(marker_dir: str) -> int:

@@ -1,6 +1,7 @@
 """Tests for the campaign engine: specs, cache, executor, manifests."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from repro.campaign import (
     read_manifest,
     run_campaign,
 )
+from repro.campaign.runners import runner
 from repro.errors import CampaignError
 from repro.power import PowerTrace
 
@@ -151,39 +153,126 @@ def test_serial_and_parallel_runs_are_identical(tmp_path):
         assert serial.result_for(tag).same_values(parallel.result_for(tag))
 
 
-def test_executor_retries_injected_failure(tmp_path):
+def _with_quick_job(job, n_workers):
+    """The campaign jobs for ``job`` under ``n_workers``.
+
+    A single pending job never starts the pool, so pool runs add a
+    second, quick job.
+    """
+    if n_workers == 1:
+        return (job,)
+    return (job, JobSpec.make("diagnostic", tag="quick", value=1.0))
+
+
+@pytest.mark.parametrize("n_workers", [1, 2], ids=["in_process", "pool"])
+def test_executor_retries_injected_failure(tmp_path, n_workers):
     job = JobSpec.make(
         "diagnostic", tag="flaky", value=7.0,
         fail_times=1, marker_dir=str(tmp_path / "markers"),
     )
-    run = run_campaign(CampaignSpec(name="retry", jobs=(job,)),
-                       retries=2, backoff=0.0)
+    run = run_campaign(
+        CampaignSpec(name="retry", jobs=_with_quick_job(job, n_workers)),
+        jobs=n_workers, retries=2, backoff=0.0,
+    )
+    assert run.parallel == (n_workers > 1)
     assert run.ok
     outcome = run.outcome_for("flaky")
     assert outcome.status == "ok"
     assert outcome.retries == 1
+    assert outcome.error is None
+    assert outcome.worker == str(int(outcome.result.scalars["pid"]))
     assert run.result_for("flaky").scalars["value"] == 7.0
 
 
-def test_executor_reports_exhausted_retries(tmp_path):
+@pytest.mark.parametrize("n_workers", [1, 2], ids=["in_process", "pool"])
+def test_executor_reports_exhausted_retries(tmp_path, n_workers):
     job = JobSpec.make(
         "diagnostic", tag="doomed", fail_times=99,
         marker_dir=str(tmp_path / "markers"),
     )
     manifest = tmp_path / "run.jsonl"
-    run = run_campaign(CampaignSpec(name="fail", jobs=(job,)),
-                       retries=1, backoff=0.0, manifest_path=str(manifest))
+    run = run_campaign(
+        CampaignSpec(name="fail", jobs=_with_quick_job(job, n_workers)),
+        jobs=n_workers, retries=1, backoff=0.0, manifest_path=str(manifest),
+    )
+    assert run.parallel == (n_workers > 1)
     assert not run.ok
     outcome = run.outcome_for("doomed")
     assert outcome.status == "failed"
     assert outcome.retries == 1
-    assert "injected failure" in outcome.error
+    assert outcome.worker == ""
+    assert outcome.error == "CampaignError: injected failure (attempt 2/99)"
     with pytest.raises(CampaignError):
         run.result_for("doomed")
     records = read_manifest(manifest)
-    job_records = [r for r in records if r["type"] == "job"]
-    assert job_records[0]["status"] == "failed"
-    assert job_records[0]["retries"] == 1
+    job_records = {r["tag"]: r for r in records if r["type"] == "job"}
+    assert job_records["doomed"]["status"] == "failed"
+    assert job_records["doomed"]["retries"] == 1
+
+
+@pytest.mark.parametrize("refuse", ["__init__", "submit"])
+def test_pool_that_cannot_start_runs_in_process(monkeypatch, refuse):
+    from concurrent.futures import ProcessPoolExecutor
+
+    def refused(*args, **kwargs):
+        raise OSError("no semaphores here")
+
+    monkeypatch.setattr(ProcessPoolExecutor, refuse, refused)
+    notes = []
+    jobs = tuple(JobSpec.make("diagnostic", tag=f"j{i}", value=float(i))
+                 for i in range(3))
+    run = run_campaign(CampaignSpec(name="nopool", jobs=jobs), jobs=2,
+                       progress=notes.append)
+    assert run.ok and not run.parallel
+    assert all(o.worker == str(os.getpid()) for o in run.outcomes)
+    assert "process pool unavailable (OSError: no semaphores here)" in notes[0]
+
+
+@runner("crash_probe")
+def _crash_probe(spec):
+    """Kill the pool worker that runs this job, as a segfault would.
+
+    Never the test process itself: run in the campaign driver it raises
+    instead, so a regression fails the test rather than ending pytest.
+    """
+    if os.getpid() == int(spec.param("driver_pid")):
+        raise CampaignError("crash probe ran in the campaign driver")
+    os._exit(3)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the probe runner is registered in this module; "
+                           "only forked workers see it")
+def test_dead_worker_fails_its_job_and_keeps_the_driver(tmp_path):
+    jobs = tuple(
+        JobSpec.make("crash_probe", tag="j2", driver_pid=os.getpid())
+        if i == 2 else JobSpec.make("diagnostic", tag=f"j{i}", value=float(i))
+        for i in range(5)
+    )
+    campaign = CampaignSpec(name="crash", jobs=jobs)
+    cache = ResultCache(tmp_path / "cache")
+    manifest = tmp_path / "run.jsonl"
+    run = run_campaign(campaign, jobs=2, cache=cache, backoff=0.0,
+                       manifest_path=str(manifest))
+    assert run.parallel
+    crashed = run.outcome_for("j2")
+    assert crashed.status == "failed"
+    assert "BrokenProcessPool" in crashed.error
+    # nothing ran in the driver after the worker died
+    driver = str(os.getpid())
+    assert all(o.worker != driver for o in run.outcomes)
+    ok = [o for o in run.outcomes if o.ok]
+    assert all(o.result.scalars["pid"] != os.getpid() for o in ok)
+    assert {"j0", "j1"} <= {o.spec.tag for o in ok}
+    records = read_manifest(manifest)
+    assert [r["tag"] for r in records if r["type"] == "job"] == [
+        f"j{i}" for i in range(5)
+    ]
+    assert sum(r["type"] == "summary" for r in records) == 1
+    # finished results were stored: a rerun serves each from the cache
+    rerun = run_campaign(campaign, cache=cache, retries=0)
+    for outcome in ok:
+        assert rerun.outcome_for(outcome.spec.tag).status == "cached"
 
 
 def test_executor_times_out_stragglers():
@@ -196,6 +285,21 @@ def test_executor_times_out_stragglers():
     assert run.outcome_for("straggler").status == "timeout"
     assert run.outcome_for("quick").ok
     assert not run.ok
+
+
+@runner("raises_timeout_error")
+def _raises_timeout_error(spec):
+    raise TimeoutError("socket read timed out")
+
+
+def test_job_raising_timeout_error_is_a_failure_not_a_straggler():
+    job = JobSpec.make("raises_timeout_error", tag="t")
+    run = run_campaign(CampaignSpec(name="te", jobs=(job,)),
+                       retries=1, backoff=0.0)
+    outcome = run.outcome_for("t")
+    assert outcome.status == "failed"
+    assert outcome.retries == 1
+    assert outcome.error == "TimeoutError: socket read timed out"
 
 
 def test_unknown_kind_fails_cleanly():
@@ -231,6 +335,23 @@ def test_second_run_is_all_cache_hits(tmp_path):
     forced = run_campaign(campaign, cache=cache, force=True)
     assert forced.summary.hit_rate == 0.0
     assert forced.ok
+
+
+def test_cache_misses_count_batched_jobs(tmp_path):
+    from repro.experiments.dtm_study import dtm_campaign
+
+    dtm_jobs = tuple(j for j in dtm_campaign(nx=6, ny=6, cycles=2).jobs
+                     if j.tag.startswith("oil/"))
+    assert len(dtm_jobs) == 3
+    campaign = CampaignSpec(
+        name="misses",
+        jobs=dtm_jobs + (JobSpec.make("diagnostic", tag="d", value=1.0),),
+    )
+    run = run_campaign(campaign, cache=ResultCache(tmp_path / "cache"))
+    assert run.ok
+    assert sum(o.worker == "batched" for o in run.outcomes) == 3
+    assert run.summary.metrics["campaign.cache.misses"] == 4.0  # repro-ok: float-equality
+    assert run.summary.metrics["campaign.cache.hits"] == 0.0  # repro-ok: float-equality
 
 
 # ---------------------------------------------------------------------------
