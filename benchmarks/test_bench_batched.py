@@ -276,3 +276,54 @@ def test_bench_campaign_batched_trace_ensemble(benchmark):
     print(f"\n  campaign: serial {1e3 * t_serial:.0f} ms | batched "
           f"{1e3 * t_batch:.0f} ms | speedup {speedup:.2f}x")
     assert speedup > 1.1
+
+
+def test_bench_campaign_batched_steady_sweep(benchmark):
+    """One EV6 model under 4 power maps: one factorization, not four.
+
+    The steady batch runner builds the model once and serves every job
+    from the network's cached factor; the amortization is asserted on
+    the deterministic factorization counter, the fidelity bit for bit.
+    """
+    n_maps = 4
+    model = ModelSpec(chip="ev6", package="oil", nx=8, ny=8, uniform_h=True,
+                      target_resistance=0.3, ambient_c=45.0)
+    rng = np.random.default_rng(2009)
+    names = ("IntReg", "Dcache", "FPAdd", "Icache")
+    campaign = CampaignSpec(name="bench-steady-batch", jobs=tuple(
+        JobSpec.make("steady_blocks", tag=f"map{k}", model=model,
+                     power="blocks", power_blocks=tuple(
+                         (name, float(rng.uniform(0.5, 8.0)))
+                         for name in names))
+        for k in range(n_maps)
+    ))
+    counter = "solver.steady.factorizations"
+
+    def run(batch):
+        before = _counters(counter)
+        out = run_campaign(campaign, jobs=1, cache=None, batch=batch)
+        return out, _deltas(_counters(counter), before)[counter]
+
+    batch_run, batch_factors = benchmark.pedantic(
+        lambda: run(True), rounds=1, iterations=1
+    )
+    serial_run, serial_factors = run(False)
+    assert all(o.worker == "batched" for o in batch_run.outcomes)
+    assert (batch_factors, serial_factors) == (1, n_maps)
+    for k in range(n_maps):
+        assert np.array_equal(
+            serial_run.result_for(f"map{k}").arrays["block_temps_k"],
+            batch_run.result_for(f"map{k}").arrays["block_temps_k"],
+        )
+
+    t_serial, _ = _best_of(lambda: run(False), reps=2)
+    t_batch, _ = _best_of(lambda: run(True), reps=2)
+    ARTIFACT["steady_campaign"] = {
+        "serial_s": t_serial,
+        "batched_s": t_batch,
+        "speedup": t_serial / t_batch,
+        "factorizations_serial": serial_factors,
+        "factorizations_batched": batch_factors,
+    }
+    print(f"\n  steady campaign: serial {1e3 * t_serial:.0f} ms | batched "
+          f"{1e3 * t_batch:.0f} ms | factorizations {n_maps} -> 1")

@@ -3,9 +3,10 @@
 The process pool treats every job as an island: each worker rebuilds
 the thermal model, refactorizes the system matrix, and steps its own
 Python loop.  But most sweeps — a DTM policy comparison on one
-package, a seed ensemble of trace runs — repeat the *same* model
-under different inputs, which is exactly the shape
-:mod:`repro.solver.batched` integrates in lockstep for the cost of
+package, a seed ensemble of trace runs, steady power maps on one
+package — repeat the *same* model under different inputs, which is
+exactly the shape :mod:`repro.solver.batched` integrates in lockstep
+(and a steady solve serves from one cached factor) for the cost of
 roughly one job.
 
 This module is the campaign-side half of that bargain:
@@ -27,6 +28,8 @@ This module is the campaign-side half of that bargain:
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import CampaignError
 from .cache import JobResult
@@ -87,6 +90,37 @@ def batch_groups(
         else:
             order.extend(members)
     return batched, order
+
+
+@batch_runner("steady_blocks")
+def batch_steady_blocks(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
+    """All steady solves of one model on a single factorization.
+
+    Builds the model once and solves each job's power map on it; the
+    network's factor cache serves every job after the first, so K jobs
+    cost one assembly and one factorization.  Each solve is the one a
+    lone job makes, so results are bitwise those of per-job runs; the
+    serial :func:`~repro.campaign.runners.run_steady_blocks` is the
+    one-job call of this runner.
+    """
+    from ..solver import steady_block_temperatures
+    from .runners import _block_powers
+
+    assert specs and specs[0].model is not None
+    model = specs[0].model.build()
+    names = list(model.floorplan.names)
+    out: Dict[str, JobResult] = {}
+    for spec in specs:
+        temps = steady_block_temperatures(model, _block_powers(spec))
+        block_temps = np.array([temps[name] for name in names])
+        out[spec.tag] = JobResult(
+            scalars={"t_max_k": float(block_temps.max()),
+                     "t_min_k": float(block_temps.min())},
+            arrays={"block_temps_k": block_temps},
+            meta={"block_names": list(names),
+                  "ambient_k": model.config.ambient},
+        )
+    return out
 
 
 @batch_runner("trace_transient")

@@ -69,19 +69,9 @@ def _block_powers(spec: JobSpec) -> Dict[str, float]:
 @runner("steady_blocks")
 def run_steady_blocks(spec: JobSpec) -> JobResult:
     """Steady-state solve; per-block absolute temperatures (Kelvin)."""
-    from ..solver import steady_block_temperatures
+    from .batching import batch_steady_blocks
 
-    model = spec.model.build()
-    temps = steady_block_temperatures(model, _block_powers(spec))
-    names = list(model.floorplan.names)
-    block_temps = np.array([temps[name] for name in names])
-    return JobResult(
-        scalars={"t_max_k": float(block_temps.max()),
-                 "t_min_k": float(block_temps.min())},
-        arrays={"block_temps_k": block_temps},
-        meta={"block_names": names,
-              "ambient_k": model.config.ambient},
-    )
+    return batch_steady_blocks([spec])[spec.tag]
 
 
 @runner("trace_transient")

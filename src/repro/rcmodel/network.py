@@ -17,7 +17,7 @@ definite -- properties the tests assert and the solvers rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -25,8 +25,10 @@ from scipy import sparse
 from ..errors import ModelBuildError
 from ..units import require_non_negative
 
-#: Anything the vectorized builder methods broadcast over.
+#: Values the array builder methods broadcast over their nodes.
 ArrayLike = Union[float, Sequence[float], np.ndarray]
+#: Node indices the array builder methods accept.
+NodeArray = Union[int, Sequence[int], np.ndarray]
 
 
 class ThermalNetwork:
@@ -117,120 +119,148 @@ class NetworkBuilder:
 
     Conductances between the same node pair accumulate (parallel
     combination); capacitance added to the same node accumulates too.
+
+    The array methods (:meth:`add_nodes`, :meth:`connect_many`,
+    :meth:`to_ambient_many`, :meth:`add_capacitances`) check and store
+    whole arrays with no per-element Python call; the scalar methods
+    are their one-element calls, so every check lives in the array
+    methods.  A call is checked in full before anything is stored, and
+    each call's arrays are kept as one chunk in call order:
+    :meth:`build` concatenates the chunks, so entries that land on the
+    same matrix position sum in the order they were added, however
+    they were split across calls.
     """
 
     def __init__(self) -> None:
-        self._capacitance: List[float] = []
+        self._n_nodes = 0
         self._labels: Dict[str, int] = {}
-        self._rows: List[int] = []
-        self._cols: List[int] = []
-        self._vals: List[float] = []
-        self._amb_nodes: List[int] = []
-        self._amb_vals: List[float] = []
+        self._node_caps: List[np.ndarray] = []
+        self._extra_caps: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._edges: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._ambient: List[Tuple[np.ndarray, np.ndarray]] = []
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes added so far."""
-        return len(self._capacitance)
+        return self._n_nodes
 
     def add_node(self, capacitance: float, label: Optional[str] = None) -> int:
         """Add one node; returns its index."""
         require_non_negative("capacitance", capacitance)
-        index = len(self._capacitance)
-        self._capacitance.append(float(capacitance))
+        if label is not None and label in self._labels:
+            raise ModelBuildError(f"duplicate node label {label!r}")
+        index = int(self.add_nodes([capacitance])[0])
         if label is not None:
-            if label in self._labels:
-                raise ModelBuildError(f"duplicate node label {label!r}")
             self._labels[label] = index
         return index
 
     def add_nodes(self, capacitances: Sequence[float]) -> np.ndarray:
         """Add a block of nodes; returns their indices as an array."""
-        capacitances = np.asarray(capacitances, dtype=float)
+        capacitances = np.array(capacitances, dtype=float).ravel()
         if np.any(~np.isfinite(capacitances)) or np.any(capacitances < 0):
             raise ModelBuildError("capacitances must be finite and >= 0")
-        start = len(self._capacitance)
-        self._capacitance.extend(capacitances.tolist())
-        return np.arange(start, start + len(capacitances))
+        start = self._n_nodes
+        self._node_caps.append(capacitances)
+        self._n_nodes += capacitances.size
+        return np.arange(start, self._n_nodes)
 
     def add_capacitance(self, node: int, capacitance: float) -> None:
         """Add extra capacitance to an existing node (e.g. the oil layer
         lumped onto the wetted silicon surface, paper Fig. 7(b))."""
-        require_non_negative("capacitance", capacitance)
-        self._capacitance[node] += float(capacitance)
+        self.add_capacitances([node], capacitance)
 
-    def add_capacitances(self, nodes: np.ndarray, capacitances: ArrayLike) -> None:
-        """Vectorized :meth:`add_capacitance`."""
-        capacitances = np.broadcast_to(
-            np.asarray(capacitances, dtype=float), np.shape(nodes)
+    def add_capacitances(self, nodes: NodeArray, capacitances: ArrayLike) -> None:
+        """Add extra capacitance to each of ``nodes`` (values broadcast)."""
+        nodes = self._nodes(nodes)
+        self._extra_caps.append(
+            (nodes, self._values("capacitance", capacitances, nodes.size))
         )
-        for node, value in zip(np.asarray(nodes).ravel(), capacitances.ravel()):
-            self.add_capacitance(int(node), float(value))
 
     def connect(self, a: int, b: int, conductance: float) -> None:
         """Add a conductance (W/K) between nodes ``a`` and ``b``."""
-        if a == b:
-            raise ModelBuildError("cannot connect a node to itself")
-        require_non_negative("conductance", conductance)
-        if conductance == 0.0:  # repro-ok: float-equality; exact zero = omitted edge
-            return
-        self._rows.append(int(a))
-        self._cols.append(int(b))
-        self._vals.append(float(conductance))
+        self.connect_many([a], [b], conductance)
 
     def connect_many(
         self,
-        a_nodes: Union[Sequence[int], np.ndarray],
-        b_nodes: Union[Sequence[int], np.ndarray],
+        a_nodes: NodeArray,
+        b_nodes: NodeArray,
         conductances: ArrayLike,
     ) -> None:
-        """Vectorized :meth:`connect` over parallel index arrays."""
-        a_nodes = np.asarray(a_nodes).ravel()
-        b_nodes = np.asarray(b_nodes).ravel()
-        conductances = np.broadcast_to(
-            np.asarray(conductances, dtype=float), a_nodes.shape
-        )
-        for a, b, g in zip(a_nodes, b_nodes, conductances):
-            self.connect(int(a), int(b), float(g))
+        """Add a conductance between each pair ``a_nodes[i]``,
+        ``b_nodes[i]`` (values broadcast); exact zeros are omitted."""
+        a_nodes = self._nodes(a_nodes)
+        b_nodes = self._nodes(b_nodes)
+        if a_nodes.shape != b_nodes.shape:
+            raise ModelBuildError(
+                f"{a_nodes.size} a-nodes but {b_nodes.size} b-nodes"
+            )
+        loops = np.flatnonzero(a_nodes == b_nodes)
+        if loops.size:
+            raise ModelBuildError(
+                f"cannot connect a node to itself (node {a_nodes[loops[0]]})"
+            )
+        values = self._values("conductance", conductances, a_nodes.size)
+        keep = values != 0.0  # repro-ok: float-equality; exact zero = omitted edge
+        self._edges.append((a_nodes[keep], b_nodes[keep], values[keep]))
 
     def to_ambient(self, node: int, conductance: float) -> None:
         """Add a conductance from ``node`` to the ambient."""
-        require_non_negative("conductance", conductance)
-        if conductance == 0.0:  # repro-ok: float-equality; exact zero = no ambient path
-            return
-        self._amb_nodes.append(int(node))
-        self._amb_vals.append(float(conductance))
+        self.to_ambient_many([node], conductance)
 
-    def to_ambient_many(
-        self,
-        nodes: Union[Sequence[int], np.ndarray],
-        conductances: ArrayLike,
-    ) -> None:
-        """Vectorized :meth:`to_ambient`."""
-        nodes = np.asarray(nodes).ravel()
-        conductances = np.broadcast_to(
-            np.asarray(conductances, dtype=float), nodes.shape
-        )
-        for node, g in zip(nodes, conductances):
-            self.to_ambient(int(node), float(g))
+    def to_ambient_many(self, nodes: NodeArray, conductances: ArrayLike) -> None:
+        """Add a conductance from each of ``nodes`` to the ambient
+        (values broadcast); exact zeros are omitted."""
+        nodes = self._nodes(nodes)
+        values = self._values("conductance", conductances, nodes.size)
+        keep = values != 0.0  # repro-ok: float-equality; exact zero = no ambient path
+        self._ambient.append((nodes[keep], values[keep]))
+
+    def _nodes(self, nodes: NodeArray) -> np.ndarray:
+        """``nodes`` as a flat int array; each must be an added node."""
+        nodes = np.array(nodes, dtype=int).ravel()
+        bad = np.flatnonzero((nodes < 0) | (nodes >= self._n_nodes))
+        if bad.size:
+            raise ModelBuildError(
+                f"node index {nodes[bad[0]]} is out of range for a network "
+                f"of {self._n_nodes} nodes"
+            )
+        return nodes
+
+    @staticmethod
+    def _values(name: str, values: ArrayLike, size: int) -> np.ndarray:
+        """``values`` broadcast to ``size`` as a flat float copy; each
+        must be finite and >= 0."""
+        values = np.broadcast_to(
+            np.asarray(values, dtype=float).ravel(), (size,)
+        ).copy()
+        bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
+        if bad.size:
+            # raises the ValueError a scalar check of this value raises
+            require_non_negative(name, values[bad[0]])
+        return values
 
     def build(self) -> ThermalNetwork:
         """Assemble the sparse Laplacian and return the network."""
-        n = len(self._capacitance)
+        n = self._n_nodes
         if n == 0:
             raise ModelBuildError("network has no nodes")
-        rows = np.asarray(self._rows + self._cols, dtype=int)
-        cols = np.asarray(self._cols + self._rows, dtype=int)
-        vals = np.asarray(self._vals + self._vals, dtype=float)
-        if rows.size and (rows.max() >= n or cols.max() >= n):
-            raise ModelBuildError("connection references an unknown node")
+        a_nodes = _concat([e[0] for e in self._edges], int)
+        b_nodes = _concat([e[1] for e in self._edges], int)
+        vals = _concat([e[2] for e in self._edges], float)
+        rows = np.concatenate([a_nodes, b_nodes])
+        cols = np.concatenate([b_nodes, a_nodes])
+        vals = np.concatenate([vals, vals])
         off_diag = sparse.coo_matrix((-vals, (rows, cols)), shape=(n, n)).tocsr()
         degree = -np.asarray(off_diag.sum(axis=1)).ravel()
         laplacian = off_diag + sparse.diags(degree)
         ambient = np.zeros(n)
-        np.add.at(ambient, np.asarray(self._amb_nodes, dtype=int),
-                  np.asarray(self._amb_vals, dtype=float))
-        capacitance = np.asarray(self._capacitance, dtype=float)
+        np.add.at(ambient, _concat([c[0] for c in self._ambient], int),
+                  _concat([c[1] for c in self._ambient], float))
+        capacitance = np.concatenate(self._node_caps)
+        # unbuffered and in call order: the same float sums, bit for
+        # bit, as adding each capacitance to its node one at a time
+        for nodes, values in self._extra_caps:
+            np.add.at(capacitance, nodes, values)
         if np.any(capacitance <= 0):
             zero = int(np.argmin(capacitance))
             raise ModelBuildError(
@@ -238,3 +268,8 @@ class NetworkBuilder:
                 f"physical node must store heat"
             )
         return ThermalNetwork(laplacian, ambient, capacitance, self._labels)
+
+
+def _concat(chunks: List[np.ndarray], dtype: type) -> np.ndarray:
+    """Concatenate stored chunks; an empty list is an empty array."""
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)

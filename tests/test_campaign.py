@@ -354,6 +354,71 @@ def test_cache_misses_count_batched_jobs(tmp_path):
     assert run.summary.metrics["campaign.cache.hits"] == 0.0  # repro-ok: float-equality
 
 
+STEADY_MAPS = (
+    (("IntReg", 3.0), ("Dcache", 2.0)),
+    (("IntReg", 1.0), ("FPAdd", 4.0)),
+    (("Icache", 2.5), ("Dcache", 0.5), ("IntReg", 1.5)),
+)
+
+
+def steady_sweep(**overrides):
+    """2 models x 3 power maps of steady_blocks jobs."""
+    jobs = []
+    for direction in ("left_to_right", "top_to_bottom"):
+        model = steady_job(direction=direction).model
+        for k, power in enumerate(STEADY_MAPS):
+            tag = f"{direction}-p{k}"
+            params = {"power": "blocks", "power_blocks": power}
+            params.update(overrides.get(tag, {}))
+            jobs.append(JobSpec.make("steady_blocks", tag=tag, model=model,
+                                     **params))
+    return CampaignSpec(name="steady-sweep", jobs=tuple(jobs))
+
+
+def _factorizations():
+    from repro import obs
+
+    return obs.metrics().counter("solver.steady.factorizations").value
+
+
+def test_steady_blocks_batch_factors_each_model_once():
+    campaign = steady_sweep()
+    before = _factorizations()
+    batched = run_campaign(campaign, jobs=1, batch=True)
+    batched_factorizations = _factorizations() - before
+    before = _factorizations()
+    serial = run_campaign(campaign, jobs=1, batch=False)
+    serial_factorizations = _factorizations() - before
+
+    assert batched.ok and serial.ok
+    assert all(o.worker == "batched" for o in batched.outcomes)
+    assert not any(o.worker == "batched" for o in serial.outcomes)
+    assert (batched_factorizations, serial_factorizations) == (2, 6)
+    for job in campaign.jobs:
+        a = batched.result_for(job.tag)
+        b = serial.result_for(job.tag)
+        assert np.array_equal(a.arrays["block_temps_k"],
+                              b.arrays["block_temps_k"])
+        assert a.same_values(b)
+
+
+def test_steady_blocks_bad_job_falls_back_per_job():
+    """One job without a power map makes its group unbatchable: the
+    group reruns per job, only the bad job fails."""
+    bad = "left_to_right-p1"
+    campaign = steady_sweep(**{bad: {"power_blocks": None}})
+    run = run_campaign(campaign, jobs=1, retries=0)
+    failed = [o.spec.tag for o in run.outcomes if o.status == "failed"]
+    assert failed == [bad]
+    assert "power_blocks" in run.outcome_for(bad).error
+    for outcome in run.outcomes:
+        same_model = outcome.spec.model == run.outcome_for(bad).spec.model
+        # the bad job's siblings ran alone; the other model still batched
+        assert (outcome.worker == "batched") == (not same_model)
+        if outcome.spec.tag != bad:
+            assert outcome.status == "ok"
+
+
 # ---------------------------------------------------------------------------
 # registry and figure integration
 # ---------------------------------------------------------------------------
