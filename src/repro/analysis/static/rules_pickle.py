@@ -119,7 +119,7 @@ class PickleSafetyRule(Rule):
                 f"lambda passed to pool.{method}(); lambdas cannot be "
                 f"pickled to worker processes",
                 hint="move the body to a module-level function and submit "
-                     "that (see campaign.executor.execute_job)",
+                     "that (see campaign.executor.execute_group)",
             )
         elif isinstance(target, ast.Name) and target.id in nested_names:
             yield self.finding(

@@ -8,7 +8,7 @@ mutation happens in the child and silently never reaches the parent
 others).
 
 Roots are found structurally: every ``@runner(...)``-registered
-function (the campaign dispatches ``get_runner(spec.kind)(spec)``, so
+function (the campaign dispatches ``get_runner(kind)(specs)``, so
 registration *is* reachability) and every callable handed to a
 pool ``submit``/``map`` call.  The call graph closure from those roots
 is then scanned for ``global``/``nonlocal`` rebinding and in-place

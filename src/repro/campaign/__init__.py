@@ -4,7 +4,9 @@ Turns ad-hoc experiment scripts into declarative, parallel, resumable
 campaigns: frozen :class:`JobSpec`/:class:`CampaignSpec` descriptions
 with deterministic content hashes (:mod:`~repro.campaign.spec`), an
 on-disk content-addressed result store (:mod:`~repro.campaign.cache`),
-a process-pool executor with retry/timeout/serial-fallback semantics
+same-model job groups as the one unit of work
+(:mod:`~repro.campaign.batching`), a process-pool executor with
+retry/timeout/serial-fallback semantics
 (:mod:`~repro.campaign.executor`), JSONL run manifests and summaries
 (:mod:`~repro.campaign.manifest`), and a registry of named campaigns
 wrapping the paper's experiment sweeps
@@ -12,7 +14,7 @@ wrapping the paper's experiment sweeps
 ``repro campaign run <name> --jobs N``.
 """
 
-from .batching import batch_groups, batch_runner, get_batch_runner
+from .batching import batch_groups
 from .cache import (
     JobResult,
     ResultCache,
@@ -20,7 +22,7 @@ from .cache import (
     disk_cache_enabled,
     machine_cache,
 )
-from .executor import CampaignRun, JobOutcome, execute_job, run_campaign
+from .executor import CampaignRun, JobOutcome, execute_group, run_campaign
 from .manifest import (
     CampaignSummary,
     ManifestWriter,
@@ -58,12 +60,10 @@ __all__ = [
     "TriageSettings",
     "TriagedCampaignRun",
     "batch_groups",
-    "batch_runner",
     "campaign_definition",
     "default_cache_dir",
     "disk_cache_enabled",
-    "execute_job",
-    "get_batch_runner",
+    "execute_group",
     "get_campaign",
     "get_runner",
     "list_campaigns",

@@ -1,83 +1,53 @@
-"""Batched execution of same-model campaign job groups.
+"""Same-model job groups: how a campaign's jobs become work items.
 
-The process pool treats every job as an island: each worker rebuilds
-the thermal model, refactorizes the system matrix, and steps its own
-Python loop.  But most sweeps — a DTM policy comparison on one
-package, a seed ensemble of trace runs, steady power maps on one
+The executor's unit of work is a group of K >= 1 jobs sharing
+``(kind, model, backend)``.  Most sweeps — a DTM policy comparison on
+one package, a seed ensemble of trace runs, steady power maps on one
 package — repeat the *same* model under different inputs, which is
 exactly the shape :mod:`repro.solver.batched` integrates in lockstep
 (and a steady solve serves from one cached factor) for the cost of
 roughly one job.
 
-This module is the campaign-side half of that bargain:
-
-* :func:`batch_groups` partitions the pending jobs of a run into
-  groups that share ``(kind, model)`` — :class:`~repro.campaign.spec.ModelSpec`
-  is a frozen dataclass, so value equality is exactly "same network" —
-  keeping only kinds with a registered *batch runner* and groups of
-  two or more.  Everything else falls through to the normal pool.
-* A **batch runner** (registered with :func:`batch_runner`) maps a
-  same-model group to per-tag results in one in-process call.  It must
-  produce results bitwise identical to the serial runner of the same
-  kind; when a group cannot be batched after all (e.g. mismatched
-  trace grids), it raises and the executor silently falls back to
-  per-job execution — batching is a fast path, never a semantic
-  change.
+* :func:`batch_groups` partitions pending jobs into the groups of two
+  or more — :class:`~repro.campaign.spec.ModelSpec` is a frozen
+  dataclass, so value equality is exactly "same network" — and the
+  jobs left over, each of which the executor runs as a K=1 group.
+* The lockstep group runners of the ``steady_blocks``,
+  ``trace_transient`` and ``dtm_policy`` kinds live here, registered
+  with :func:`repro.campaign.runners.runner` like every other kind.
+  A group's results are bitwise those of its members run as K=1
+  groups; when a group cannot run together after all (e.g. mismatched
+  trace grids), the runner raises and the executor reruns the members
+  one by one — grouping is a fast path, never a semantic change.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CampaignError
 from .cache import JobResult
+from .runners import _block_powers, dtm_setup, runner
 from .spec import JobSpec
-
-#: kind -> group runner mapping a same-model job list to per-tag results.
-BatchRunner = Callable[[Sequence[JobSpec]], Dict[str, JobResult]]
-
-BATCH_RUNNERS: Dict[str, BatchRunner] = {}
-
-
-def batch_runner(kind: str) -> Callable[[BatchRunner], BatchRunner]:
-    """Register a batched group runner under a job ``kind`` name."""
-
-    def register(fn: BatchRunner) -> BatchRunner:
-        BATCH_RUNNERS[kind] = fn
-        return fn
-
-    return register
-
-
-def get_batch_runner(kind: str) -> BatchRunner:
-    """Look up a batch runner; unknown kinds are campaign errors."""
-    try:
-        return BATCH_RUNNERS[kind]
-    except KeyError:
-        raise CampaignError(
-            f"no batch runner for kind {kind!r}; "
-            f"registered: {sorted(BATCH_RUNNERS)}"
-        ) from None
 
 
 def batch_groups(
     pending: Sequence[JobSpec],
 ) -> Tuple[List[List[JobSpec]], List[JobSpec]]:
-    """Partition pending jobs into batchable groups and leftovers.
+    """Partition pending jobs into same-model groups and leftovers.
 
     A group is two or more jobs sharing ``(kind, model, backend)``
-    where the kind has a registered batch runner and the model is
-    declared (the network — and the linear-algebra engine that
-    factorizes it — is what the batch shares).  Leftovers — singleton
-    groups, unbatchable kinds, model-less jobs — keep their original
+    where the model is declared (the network — and the linear-algebra
+    engine that factorizes it — is what the group shares).  Leftovers
+    — singleton groups and model-less jobs — keep their original
     order.
     """
     groups: Dict[Tuple[str, object, object], List[JobSpec]] = {}
     order: List[JobSpec] = []
     for spec in pending:
-        if spec.kind in BATCH_RUNNERS and spec.model is not None:
+        if spec.model is not None:
             groups.setdefault(
                 (spec.kind, spec.model, spec.backend), []
             ).append(spec)
@@ -92,19 +62,16 @@ def batch_groups(
     return batched, order
 
 
-@batch_runner("steady_blocks")
+@runner("steady_blocks")
 def batch_steady_blocks(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     """All steady solves of one model on a single factorization.
 
     Builds the model once and solves each job's power map on it; the
     network's factor cache serves every job after the first, so K jobs
     cost one assembly and one factorization.  Each solve is the one a
-    lone job makes, so results are bitwise those of per-job runs; the
-    serial :func:`~repro.campaign.runners.run_steady_blocks` is the
-    one-job call of this runner.
+    lone job makes, so results are bitwise those of K=1 groups.
     """
     from ..solver import steady_block_temperatures
-    from .runners import _block_powers
 
     assert specs and specs[0].model is not None
     model = specs[0].model.build()
@@ -123,18 +90,21 @@ def batch_steady_blocks(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     return out
 
 
-@batch_runner("trace_transient")
+@runner("trace_transient")
 def batch_trace_transient(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     """All trace runs of one model as a single lockstep integration.
 
     Builds the model once, synthesizes each job's trace, and integrates
     the schedules through
-    :func:`~repro.solver.batched.batched_simulate_schedules`; the serial
-    :func:`~repro.campaign.runners.run_trace_transient` is the
-    one-job call of this runner.  Jobs
-    whose traces land on different boundary grids (different
-    ``duration``/``thermal_stride``) make the solver raise, which the
-    executor answers by re-running the group per job.
+    :func:`~repro.solver.batched.batched_simulate_schedules`.
+
+    Parameters: ``duration``, ``instructions``, ``seed``,
+    ``mean_dwell`` (trace synthesis), ``thermal_stride`` (power-sample
+    binning), ``init`` (``"steady"`` starts from the average-power
+    steady state, anything else from ambient).  Jobs whose traces land
+    on different boundary grids (different ``duration``/
+    ``thermal_stride``) make the solver raise, which the executor
+    answers by re-running the group per job.
     """
     from ..experiments.common import gcc_synthesized_trace
     from ..solver import batched_simulate_schedules, steady_state
@@ -184,18 +154,19 @@ def batch_trace_transient(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     return out
 
 
-@batch_runner("dtm_policy")
+@runner("dtm_policy")
 def batch_dtm_policy(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     """All DTM policies of one package as a single lockstep run.
 
     One model, one factorization, K controllers advancing together
     through :func:`~repro.dtm.controller.run_dtm_batch`; each job's
     controller and pulse-train stimulus comes from
-    :func:`~repro.campaign.runners.dtm_setup`.  The per-job
-    :func:`~repro.campaign.runners.run_dtm_policy` is the one-job call.
+    :func:`~repro.campaign.runners.dtm_setup`: a pulse train on
+    ``pulse_block`` (the Fig. 8-style stimulus of the DTM bench) and a
+    policy selected by name with one ``strength`` knob and optional
+    ``targets``.
     """
     from ..dtm.controller import run_dtm_batch
-    from .runners import dtm_setup
 
     assert specs and specs[0].model is not None
     model = specs[0].model.build()

@@ -5,17 +5,23 @@ Execution of one campaign proceeds in three steps:
 1. **Cache probe** — each job's content hash is looked up in the
    result cache (when one is configured); hits short-circuit without
    ever reaching a worker.
-2. **Fan-out** — misses go through one job loop: submit every job to
-   an executor, then wait on each in order.  ``jobs > 1`` uses a
-   ``ProcessPoolExecutor``; ``jobs == 1``, or a pool that cannot start
-   (no ``fork``/``spawn``, sandboxed ``/dev/shm``, ...), uses an
-   in-process executor that runs each job when its result is read —
-   identical results, only the timeout is then advisory.  Failures
-   retry with exponential backoff up to ``retries`` times; a per-job
-   ``timeout`` (measured from the moment the loop starts waiting on
-   that job) marks stragglers failed and abandons their worker.  A
-   worker that dies mid-run fails every unfinished job
-   (``BrokenProcessPool``); none is rerun in this process.
+2. **Fan-out** — misses become *groups*, the one unit of work: jobs
+   sharing ``(kind, model, backend)`` form one group (see
+   :mod:`repro.campaign.batching`), every other job — and every job
+   under ``batch=False`` — is a group of one.  One job loop submits
+   every group to an executor, then waits on each in order.
+   ``jobs > 1`` uses a ``ProcessPoolExecutor``; ``jobs == 1``, or a
+   pool that cannot start (no ``fork``/``spawn``, sandboxed
+   ``/dev/shm``, ...), uses an in-process executor that runs each
+   group when its result is read — identical results, only the
+   timeout is then advisory.  A group of K jobs gets a ``timeout * K``
+   budget (measured from the moment the loop starts waiting on it);
+   a straggler fails all its members ``timeout`` and abandons its
+   worker.  A failing K >= 2 group is rerun as K one-job groups; a
+   failing one-job group retries with exponential backoff up to
+   ``retries`` times.  A worker that dies mid-run fails every
+   unfinished job (``BrokenProcessPool``); none is rerun in this
+   process.
 3. **Record** — fresh results are stored back to the cache and every
    job appends a manifest record; the run closes with a summary
    (hit rate, p50/p95 job latency, aggregated metrics).
@@ -23,12 +29,13 @@ Execution of one campaign proceeds in three steps:
 Observability: progress is reported through the stdlib
 ``repro.campaign`` logger (wire a handler with
 :func:`repro.obs.logging_setup`).  When tracing is enabled — or
-``capture_obs=True`` is passed — each worker runs its job under a
+``capture_obs=True`` is passed — each worker runs its group under a
 span, snapshots the :mod:`repro.obs` metrics registry before and
-after, and ships the span tree plus the metrics delta back through
-:class:`JobOutcome`, so per-job solver behaviour (factorizations,
-steps, cache hits) survives the process-pool boundary and lands in
-the JSONL manifest.
+after, and ships the span tree plus the metrics delta back; the parent
+merges that delta once per group and records it on each
+:class:`JobOutcome` (apportioned 1/K across a group's members), so
+solver behaviour (factorizations, steps, cache hits) survives the
+process-pool boundary and lands in the JSONL manifest.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import functools
 import logging
 import os
 import time
+from collections import deque
 from concurrent.futures import BrokenExecutor, Executor, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
@@ -49,11 +57,13 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from .. import obs, units
 from ..errors import CampaignError
+from .batching import batch_groups
 from .cache import JobResult, ResultCache
 from .manifest import CampaignSummary, ManifestWriter, summarize
 from .runners import get_runner
@@ -68,13 +78,14 @@ _FAILURES = obs.metrics().counter("campaign.jobs.failures")
 _BATCHED = obs.metrics().counter("campaign.jobs.batched")
 _JOB_SECONDS = obs.metrics().histogram("campaign.job.wall_seconds")
 
-#: What a worker returns: result, wall seconds, worker pid, and the
-#: observability capture (``None`` unless capture was requested).
-WorkerReturn = Tuple[JobResult, float, int, Optional[Dict[str, Any]]]
+#: What a worker returns for a group: per-tag results, wall seconds,
+#: worker pid, and the observability capture (``None`` unless capture
+#: was requested).
+WorkerReturn = Tuple[Dict[str, JobResult], float, int, Optional[Dict[str, Any]]]
 
 
 def _backend_scope(spec: JobSpec) -> ContextManager[Any]:
-    """The solver-backend selection scope for one job.
+    """The solver-backend selection scope for one job's group.
 
     Jobs that pin a backend run inside
     :func:`repro.solver.backends.backend_override`, so every solver
@@ -89,53 +100,68 @@ def _backend_scope(spec: JobSpec) -> ContextManager[Any]:
     return backend_override(spec.backend)
 
 
-def execute_job(
-    spec: JobSpec,
+def execute_group(
+    specs: Sequence[JobSpec],
     capture: bool = False,
     stream: Optional[obs.StreamConfig] = None,
 ) -> WorkerReturn:
-    """Run one job in the current process (the worker entry point).
+    """Run one group of K >= 1 jobs in the current process.
 
-    Module-level so it pickles to pool workers.  ``capture`` adds a
-    forced-on ``campaign.job`` span and returns an observability record:
-    the serialized span tree, a flat metrics delta for manifests, and
-    the structured delta snapshot for merging into the parent registry.
-    With ``stream`` the job also publishes ``job_started`` and heartbeat
-    events while it runs (see :mod:`repro.obs.events`); they are
-    advisory and never change the return value.
+    The worker entry point, module-level so it pickles to pool workers.
+    Every member shares the group's kind and backend, so one runner
+    call under one backend scope serves them all.  ``capture`` adds a
+    forced-on span (``campaign.job`` for K=1, ``campaign.batch`` for a
+    larger group) and returns an observability record: the serialized
+    span tree, a flat metrics delta for manifests, and the structured
+    delta snapshot for merging into the parent registry.  With
+    ``stream`` the group publishes a ``job_started`` event per member
+    and heartbeats (under its first member's tag) while it runs (see
+    :mod:`repro.obs.events`); they are advisory and never change the
+    return value.
     """
     start = time.perf_counter()
+    kind = specs[0].kind
     registry = obs.metrics()
     tracer = obs.tracer()
     was_enabled = tracer.enabled
     tracer.enabled = was_enabled or capture
     before = registry.snapshot() if capture else None
-    _, heartbeat = obs.job_telemetry(
-        stream, spec.tag, spec.kind, registry, before
+    publisher, heartbeat = obs.job_telemetry(
+        stream, specs[0].tag, kind, registry, before
     )
-    job_scope: ContextManager[Any] = (
-        obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
-                 tracer=tracer)
-        if capture else contextlib.nullcontext()
-    )
+    if publisher is not None:
+        for spec in specs[1:]:
+            publisher.publish(obs.make_event("job_started", tag=spec.tag,
+                                             kind=kind))
+    group_scope: ContextManager[Any] = contextlib.nullcontext()
+    if capture and len(specs) == 1:
+        group_scope = obs.Span("campaign.job", {"tag": specs[0].tag, "kind": kind},
+                               tracer=tracer)
+    elif capture:
+        group_scope = obs.Span("campaign.batch", {"kind": kind, "n_jobs": len(specs)},
+                               tracer=tracer)
     try:
-        with job_scope as job_span:
-            with _backend_scope(spec):
-                result = get_runner(spec.kind)(spec)
+        with group_scope as group_span:
+            with _backend_scope(specs[0]):
+                results = get_runner(kind)(specs)
     finally:
         tracer.enabled = was_enabled
         if heartbeat is not None:
             heartbeat.stop()
+    missing = [spec.tag for spec in specs if spec.tag not in results]
+    if missing:
+        raise CampaignError(f"runner for {kind!r} returned no result for {missing}")
     captured: Optional[Dict[str, Any]] = None
     if before is not None:
         delta = obs.snapshot_diff(registry.snapshot(), before)
         captured = {
             "pid": os.getpid(),
-            "span": job_span.to_dict(),
+            "span": group_span.to_dict(),
             "metrics": obs.flatten_snapshot(delta),
             "snapshot": delta,
         }
-    return result, time.perf_counter() - start, os.getpid(), captured
+    return ({spec.tag: results[spec.tag] for spec in specs},
+            time.perf_counter() - start, os.getpid(), captured)
 
 
 @dataclass
@@ -173,8 +199,8 @@ class JobOutcome:
                       if self.obs.get("span") else []),
             "metrics": self.obs.get("metrics", {}),
         }
-        # Batched jobs carry an even 1/K share of the group's delta
-        # (see _run_batched); record K so readers know it's apportioned.
+        # Members of a K >= 2 group carry an even 1/K share of the
+        # group's delta (see _group_outcomes); record K so readers know.
         if self.obs.get("apportioned"):
             record["apportioned"] = self.obs["apportioned"]
         return record
@@ -240,7 +266,8 @@ class CampaignRun:
         parent_pid = os.getpid()
         roots: List[Dict[str, Any]] = []
         for outcome in self.outcomes:
-            if outcome.obs and outcome.obs.get("pid") != parent_pid:
+            if (outcome.obs and outcome.obs.get("span")
+                    and outcome.obs.get("pid") != parent_pid):
                 roots.append(outcome.obs["span"])
         return roots
 
@@ -319,110 +346,67 @@ class _PoolUnavailable(Exception):
     """The pool could not be created or refused its first job."""
 
 
-def _run_batched(
-    pending: List[JobSpec],
-    progress: Optional[Callable[[str], None]],
-    capture: bool = False,
-    stream: Optional[obs.EventStream] = None,
-) -> Tuple[Dict[str, JobOutcome], List[JobSpec]]:
-    """Execute same-model job groups in-process through batch runners.
-
-    Returns the batched outcomes plus the jobs still pending: jobs with
-    no batchable group, and whole groups whose batch runner raised (a
-    mixed trace grid, a model quirk, ...) — those silently fall back to
-    normal per-job execution, so batching can only change cost, never
-    the campaign's results.  Batched outcomes report ``worker``
-    ``"batched"`` and the group's amortized per-job wall time.
-
-    With ``capture``, the group's metric delta is measured around the
-    lockstep run and apportioned evenly across its K member jobs
-    (:func:`repro.obs.scale_snapshot`), so manifest ``"obs"`` records
-    stay populated under batching instead of silently lumping K jobs'
-    solver counters into nothing.  Apportioned records carry
-    ``"snapshot": None`` and this process's pid — the deltas are
-    already counted in the parent registry, so the cross-process merge
-    loop must not fold them again.
-    """
-    from .batching import batch_groups, get_batch_runner
-
-    groups, rest = batch_groups(pending)
-    outcomes: Dict[str, JobOutcome] = {}
-    registry = obs.metrics()
-    for group in groups:
-        kind = group[0].kind
-        start = time.perf_counter()
-        _ATTEMPTS.inc(len(group))
-        if stream is not None:
-            for spec in group:
-                stream.emit("job_started", tag=spec.tag, kind=kind)
-                stream.emit("job_heartbeat", tag=spec.tag, kind=kind,
-                            elapsed_s=0.0, metrics={}, batched=True)
-        before = registry.snapshot() if capture else None
-        try:
-            # one scope for the whole group: batch_groups keys on the
-            # backend, so every member shares the same selection
-            with obs.span("campaign.batch", kind=kind, n_jobs=len(group)):
-                with _backend_scope(group[0]):
-                    results = get_batch_runner(kind)(group)
-            missing = [s.tag for s in group if s.tag not in results]
-            if missing:
-                raise CampaignError(
-                    f"batch runner for {kind!r} returned no result for "
-                    f"{missing}"
-                )
-        except Exception as exc:  # noqa: BLE001 - fall back, don't fail
-            logger.warning(
-                "batch of %d %r jobs not batchable (%s: %s); "
-                "falling back to per-job execution",
-                len(group), kind, type(exc).__name__, exc,
-            )
-            rest.extend(group)
-            continue
-        wall = (time.perf_counter() - start) / len(group)
-        _BATCHED.inc(len(group))
-        share: Optional[Dict[str, float]] = None
-        if before is not None:
-            delta = obs.snapshot_diff(registry.snapshot(), before)
-            share = obs.flatten_snapshot(
-                obs.scale_snapshot(delta, 1.0 / len(group))
-            )
-        for spec in group:
-            _JOB_SECONDS.observe(wall)
-            captured: Optional[Dict[str, Any]] = None
-            if share is not None:
-                captured = {
-                    "pid": os.getpid(),
-                    "span": None,
-                    "metrics": dict(share),
-                    "snapshot": None,
-                    "apportioned": len(group),
-                }
-            outcomes[spec.tag] = JobOutcome(
-                spec=spec, status="ok", result=results[spec.tag],
-                wall_s=wall, worker="batched", obs=captured,
-            )
-            _publish(outcomes[spec.tag], progress, stream)
-    return outcomes, rest
-
-
 def _submit(
     executor: Executor,
-    spec: JobSpec,
+    group: List[JobSpec],
     capture: bool,
     stream_cfg: Optional[obs.StreamConfig],
 ) -> Future[Any]:
-    """Submit one job; a refused submit comes back as a failed future."""
+    """Submit one group; a refused submit comes back as a failed future."""
+    _ATTEMPTS.inc(len(group))
     try:
-        return executor.submit(execute_job, spec, capture, stream_cfg)
+        return executor.submit(execute_group, group, capture, stream_cfg)
     except Exception as exc:  # noqa: BLE001 - a broken pool refuses work
         refused: Future[Any] = Future()
         refused.set_exception(exc)
         return refused
 
 
+def _group_outcomes(
+    group: List[JobSpec], returned: WorkerReturn, attempt: int
+) -> List[JobOutcome]:
+    """The outcomes of a group that returned, its metrics merged once.
+
+    A K=1 job keeps the worker's capture as is.  The K members of a
+    larger group report ``worker="batched"``, the amortized wall time,
+    and an even 1/K share of the group's metric delta
+    (:func:`repro.obs.scale_snapshot`) marked ``"apportioned": K``; the
+    group's span tree rides on its first member.  A delta captured in
+    another process is folded into this registry here, once per group,
+    so pool runs and in-process runs leave identical global counts.
+    """
+    results, wall, pid, captured = returned
+    if captured is not None and captured["pid"] != os.getpid():
+        obs.metrics().merge(captured["snapshot"])
+    if len(group) == 1:
+        _JOB_SECONDS.observe(wall)
+        (spec,) = group
+        return [JobOutcome(spec=spec, status="ok", result=results[spec.tag],
+                           wall_s=wall, worker=str(pid), retries=attempt,
+                           obs=captured)]
+    k = len(group)
+    _BATCHED.inc(k)
+    member_obs: List[Optional[Dict[str, Any]]] = [None] * k
+    if captured is not None:
+        share = obs.flatten_snapshot(
+            obs.scale_snapshot(captured["snapshot"], 1.0 / k)
+        )
+        member_obs = [{"pid": pid, "span": captured["span"] if i == 0 else None,
+                       "metrics": dict(share), "snapshot": None,
+                       "apportioned": k} for i in range(k)]
+    outcomes = []
+    for spec, member in zip(group, member_obs):
+        _JOB_SECONDS.observe(wall / k)
+        outcomes.append(JobOutcome(
+            spec=spec, status="ok", result=results[spec.tag], wall_s=wall / k,
+            worker="batched", retries=attempt, obs=member,
+        ))
+    return outcomes
+
+
 def _run_jobs(
     executor: Executor,
-    pending: List[JobSpec],
+    groups: List[List[JobSpec]],
     timeout: Optional[float],
     retries: int,
     backoff: float,
@@ -430,12 +414,15 @@ def _run_jobs(
     capture: bool,
     stream: Optional[obs.EventStream] = None,
 ) -> Dict[str, JobOutcome]:
-    """Submit every pending job, then wait, retry and record each in order.
+    """Submit every group, then wait, retry and record each in order.
 
     The one job loop for a process pool and the in-process executor
     alike.  Raises :class:`_PoolUnavailable` when the first submit
-    fails; nothing has run then.  A job whose worker died
-    (``BrokenExecutor``) ends ``failed`` without a retry.
+    fails; nothing has run then.  A group of K jobs gets ``timeout * K``
+    seconds, and every member ends ``timeout`` when that passes.  A
+    K >= 2 group that raises is resubmitted as K one-job groups, which
+    then retry on their own; a group whose worker died
+    (``BrokenExecutor``) fails every member without a retry.
     """
     # Only a cross-process-capable stream (a manager-backed queue) can
     # be pickled out to pool workers; otherwise workers run silent and
@@ -449,57 +436,62 @@ def _run_jobs(
     abandoned = False
     try:
         try:
-            futures = [executor.submit(execute_job, pending[0], capture,
-                                       stream_cfg)]
+            first = executor.submit(execute_group, groups[0], capture, stream_cfg)
         except Exception as exc:  # noqa: BLE001 - classified by the caller
             raise _PoolUnavailable(f"{type(exc).__name__}: {exc}") from exc
-        futures += [_submit(executor, spec, capture, stream_cfg)
-                    for spec in pending[1:]]
-        _ATTEMPTS.inc(len(futures))
-        for fut, spec in zip(futures, pending):
-            attempt = 0
-            while True:
-                try:
-                    result, wall, pid, captured = fut.result(timeout=timeout)
-                    _JOB_SECONDS.observe(wall)
-                    outcome = JobOutcome(
-                        spec=spec, status="ok", result=result, wall_s=wall,
-                        worker=str(pid), retries=attempt, obs=captured,
+        _ATTEMPTS.inc(len(groups[0]))
+        work = deque([(first, groups[0], 0)] + [
+            (_submit(executor, group, capture, stream_cfg), group, 0)
+            for group in groups[1:]
+        ])
+        while work:
+            fut, group, attempt = work.popleft()
+            budget = None if timeout is None else timeout * len(group)
+            try:
+                finished = _group_outcomes(group, fut.result(timeout=budget), attempt)
+            except Exception as exc:  # noqa: BLE001 - job isolation boundary
+                # a TimeoutError the job raised itself is a failure
+                if isinstance(exc, FutureTimeoutError) and not fut.done():
+                    fut.cancel()
+                    abandoned = True
+                    _TIMEOUTS.inc(len(group))
+                    finished = [JobOutcome(
+                        spec=spec, status="timeout",
+                        error=f"exceeded {budget:g} s budget",
+                        wall_s=float(budget or 0.0), retries=attempt,
+                    ) for spec in group]
+                # a dead worker broke the pool: a retry could only fail
+                # again, and must never run the jobs here instead
+                elif isinstance(exc, BrokenExecutor) or (
+                        len(group) == 1 and attempt >= retries):
+                    _FAILURES.inc(len(group))
+                    finished = [JobOutcome(
+                        spec=spec, status="failed",
+                        error=f"{type(exc).__name__}: {exc}", retries=attempt,
+                    ) for spec in group]
+                elif len(group) > 1:
+                    logger.warning(
+                        "group of %d %r jobs failed together (%s: %s); "
+                        "rerunning them one by one",
+                        len(group), group[0].kind, type(exc).__name__, exc,
                     )
-                except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                    # a TimeoutError the job raised itself is a failure
-                    if isinstance(exc, FutureTimeoutError) and not fut.done():
-                        fut.cancel()
-                        abandoned = True
-                        _TIMEOUTS.inc()
-                        outcome = JobOutcome(
-                            spec=spec, status="timeout",
-                            error=f"exceeded {timeout:g} s budget",
-                            wall_s=float(timeout or 0.0), retries=attempt,
-                        )
-                    # a dead worker broke the pool: a retry could only
-                    # fail again, and must never run the job here instead
-                    elif attempt < retries and not isinstance(exc, BrokenExecutor):
-                        logger.debug(
-                            "job %s attempt %d failed (%s); retrying",
-                            spec.tag, attempt + 1, exc,
-                        )
-                        _RETRIES.inc()
-                        _backoff_sleep(backoff, attempt)
-                        attempt += 1
-                        _ATTEMPTS.inc()
-                        fut = _submit(executor, spec, capture, stream_cfg)
-                        continue
-                    else:
-                        _FAILURES.inc()
-                        outcome = JobOutcome(
-                            spec=spec, status="failed",
-                            error=f"{type(exc).__name__}: {exc}",
-                            retries=attempt,
-                        )
-                break
-            outcomes[spec.tag] = outcome
-            _publish(outcome, progress, stream)
+                    work.extendleft(reversed([
+                        (_submit(executor, [spec], capture, stream_cfg),
+                         [spec], 0)
+                        for spec in group
+                    ]))
+                    continue
+                else:
+                    logger.debug("job %s attempt %d failed (%s); retrying",
+                                 group[0].tag, attempt + 1, exc)
+                    _RETRIES.inc()
+                    _backoff_sleep(backoff, attempt)
+                    work.appendleft((_submit(executor, group, capture,
+                                             stream_cfg), group, attempt + 1))
+                    continue
+            for outcome in finished:
+                outcomes[outcome.spec.tag] = outcome
+                _publish(outcome, progress, stream)
     finally:
         # A timed-out worker cannot be interrupted; don't block the
         # campaign on it — abandon the pool and let it drain on exit.
@@ -577,8 +569,8 @@ def run_campaign(
     manifest_path:
         Where to append the JSONL run manifest; ``None`` skips it.
     timeout:
-        Per-job wall budget in seconds (pool mode only; advisory in
-        serial mode).
+        Per-job wall budget in seconds; a group of K jobs gets K times
+        this (pool mode only; advisory in serial mode).
     retries:
         How many times a *failing* job is re-attempted (timeouts are
         final: the straggler would just straggle again).
@@ -593,13 +585,12 @@ def run_campaign(
         Capture per-job span trees and metric deltas across the pool.
         ``None`` (default) follows the global tracer's enabled flag.
     batch:
-        Recognize pending jobs that share ``(kind, model)`` and run
-        each such group as one in-process lockstep solve (see
+        Group pending jobs that share ``(kind, model, backend)`` and
+        run each group as one work item — one lockstep solve (see
         :mod:`repro.campaign.batching`); results are bitwise identical
-        to per-job execution, groups that cannot batch fall back
-        automatically.  Batched jobs' spans land on this process's
-        tracer; their metric deltas are measured around the group run
-        and apportioned evenly across member jobs when capturing.
+        to per-job execution, groups that fail rerun per job.  With
+        ``False`` every job is its own group.  A group's metric delta
+        is apportioned evenly across its member jobs when capturing.
     stream:
         Optional live-telemetry stream (see
         :class:`repro.obs.EventStream`).  Workers publish
@@ -647,31 +638,23 @@ def run_campaign(
             probe.annotate(hits=len(cached), misses=len(pending))
 
         fresh: Dict[str, JobOutcome] = {}
-        if pending and batch:
-            fresh, pending = _run_batched(pending, progress, capture, stream)
         if pending:
-            loop_args = (pending, timeout, retries, backoff, progress,
+            groups, singles = batch_groups(pending) if batch else ([], pending)
+            groups += [[spec] for spec in singles]
+            loop_args = (groups, timeout, retries, backoff, progress,
                          capture, stream)
             try:
-                executor = (_open_pool(jobs) if jobs > 1 and len(pending) > 1
+                executor = (_open_pool(jobs) if jobs > 1 and len(groups) > 1
                             else _InProcessExecutor())
-                fresh.update(_run_jobs(executor, *loop_args))
+                fresh = _run_jobs(executor, *loop_args)
             except _PoolUnavailable as exc:
                 note = f"process pool unavailable ({exc}); running serially"
                 logger.warning(note)
                 if progress:
                     progress(f"[  NOTE ] {note}")
                 executor = _InProcessExecutor()
-                fresh.update(_run_jobs(executor, *loop_args))
+                fresh = _run_jobs(executor, *loop_args)
             run.parallel = not isinstance(executor, _InProcessExecutor)
-
-        # Fold worker-side metric deltas into this process's registry so
-        # pool runs and serial runs leave identical global counts.
-        parent_pid = os.getpid()
-        for outcome in fresh.values():
-            if (outcome.obs and outcome.obs.get("pid") != parent_pid
-                    and outcome.obs.get("snapshot")):
-                obs.metrics().merge(outcome.obs["snapshot"])
 
         if cache is not None:
             with obs.span("campaign.cache.store", n=len(fresh)):

@@ -1,43 +1,54 @@
-"""Job runners: the solve kinds a campaign job can request.
+"""Group runners: the solve kinds a campaign job can request.
 
-Each runner maps a :class:`~repro.campaign.spec.JobSpec` to a plain
-:class:`~repro.campaign.cache.JobResult`.  Runners execute inside
-worker processes, so they import the heavy model/solver modules lazily
-and return only picklable data — raw Kelvin temperatures or rises plus
-enough metadata (block names, ambient) for the experiment modules to
-reassemble their figure-level result objects bit-for-bit identically
-to the old inline loops.
+The unit of work is a *group*: K >= 1 jobs of one kind that share a
+model and backend (see :func:`repro.campaign.batching.batch_groups`).
+Every kind registers exactly one group runner with :func:`runner`; it
+maps the group's :class:`~repro.campaign.spec.JobSpec` list to one
+:class:`~repro.campaign.cache.JobResult` per job tag, and a lone job
+is simply the K=1 call.  Results must not depend on K: a group's
+per-job results are bitwise those of its members run alone, which is
+what lets the executor split a failing group into K=1 groups.
+
+Runners execute inside worker processes, so they import the heavy
+model/solver modules lazily and return only picklable data — raw
+Kelvin temperatures or rises plus enough metadata (block names,
+ambient) for the experiment modules to reassemble their figure-level
+result objects.  The lockstep runners (``steady_blocks``,
+``trace_transient``, ``dtm_policy``) live in
+:mod:`repro.campaign.batching`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CampaignError
+from ..errors import CampaignError, SolverError
 from .cache import JobResult
 from .spec import JobSpec
 
-RUNNERS: Dict[str, Callable[[JobSpec], JobResult]] = {}
+#: A group runner: a job list of one kind (and, when the jobs declare
+#: one, one model and backend) to per-tag results.
+GroupRunner = Callable[[Sequence[JobSpec]], Dict[str, JobResult]]
+
+RUNNERS: Dict[str, GroupRunner] = {}
 
 
-def runner(
-    kind: str,
-) -> Callable[[Callable[[JobSpec], JobResult]], Callable[[JobSpec], JobResult]]:
-    """Register a runner under a job ``kind`` name."""
+def runner(kind: str) -> Callable[[GroupRunner], GroupRunner]:
+    """Register the group runner of a job ``kind``."""
 
-    def register(fn: Callable[[JobSpec], JobResult]) -> Callable[[JobSpec], JobResult]:
+    def register(fn: GroupRunner) -> GroupRunner:
         RUNNERS[kind] = fn
         return fn
 
     return register
 
 
-def get_runner(kind: str) -> Callable[[JobSpec], JobResult]:
-    """Look up a runner; unknown kinds are campaign errors."""
+def get_runner(kind: str) -> GroupRunner:
+    """Look up a group runner; unknown kinds are campaign errors."""
     try:
         return RUNNERS[kind]
     except KeyError:
@@ -66,80 +77,65 @@ def _block_powers(spec: JobSpec) -> Dict[str, float]:
     raise CampaignError(f"unknown power source {source!r}")
 
 
-@runner("steady_blocks")
-def run_steady_blocks(spec: JobSpec) -> JobResult:
-    """Steady-state solve; per-block absolute temperatures (Kelvin)."""
-    from .batching import batch_steady_blocks
-
-    return batch_steady_blocks([spec])[spec.tag]
-
-
-@runner("trace_transient")
-def run_trace_transient(spec: JobSpec) -> JobResult:
-    """Integrate the synthesized gcc trace; per-block rise series.
-
-    Parameters: ``duration``, ``instructions``, ``seed``,
-    ``mean_dwell`` (trace synthesis), ``thermal_stride`` (power-sample
-    binning), ``init`` (``"steady"`` starts from the average-power
-    steady state, anything else from ambient).
-    """
-    from .batching import batch_trace_transient
-
-    return batch_trace_transient([spec])[spec.tag]
-
-
 @runner("package_metrics")
-def run_package_metrics(spec: JobSpec) -> JobResult:
-    """The design-space figures of merit for one package.
+def run_package_metrics(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
+    """The design-space figures of merit, one package model per group.
 
-    Steady peak rise and across-die spread under the gcc power map,
-    the short-term t63 of a single-block pulse (DTM responsiveness),
-    and optionally (``warmup_t_end > 0``) the warm-up t63 of the full
-    workload from ambient.
+    Per job: steady peak rise and across-die spread under the gcc power
+    map, the short-term t63 of a single-block pulse (DTM
+    responsiveness), and optionally (``warmup_t_end > 0``) the warm-up
+    t63 of the full workload from ambient.  The model is built once
+    and shared by the group's jobs.
     """
     from ..analysis.time_constants import rise_time
     from ..solver import steady_state, transient_step_response
 
-    model = spec.model.build()
+    assert specs and specs[0].model is not None
+    model = specs[0].model.build()
     plan = model.floorplan
-    powers = _block_powers(spec)
-    rise = steady_state(model.network, model.node_power(powers))
-    block_rise = model.block_rise(rise)
+    out: Dict[str, JobResult] = {}
+    for spec in specs:
+        powers = _block_powers(spec)
+        rise = steady_state(model.network, model.node_power(powers))
+        block_rise = model.block_rise(rise)
 
-    pulse_block = str(spec.param("pulse_block", "IntReg"))
-    pulse = transient_step_response(
-        model.network,
-        model.node_power({pulse_block: float(spec.param("pulse_power", 3.0))}),
-        t_end=float(spec.param("pulse_t_end", 0.4)),
-        dt=float(spec.param("pulse_dt", 2e-3)),
-        projector=model.block_rise,
-    )
-    series = pulse.states[:, plan.index_of(pulse_block)]
-    scalars = {
-        "tmax": float(block_rise.max()),
-        "dt": float(block_rise.max() - block_rise.min()),
-        "t63": float(rise_time(pulse.times, series)),
-    }
-
-    warmup_t_end = float(spec.param("warmup_t_end", 0.0))
-    if warmup_t_end > 0:
-        warm = transient_step_response(
-            model.network, model.node_power(powers),
-            t_end=warmup_t_end,
-            dt=float(spec.param("warmup_dt", 0.5)),
+        pulse_block = str(spec.param("pulse_block", "IntReg"))
+        pulse = transient_step_response(
+            model.network,
+            model.node_power({pulse_block: float(spec.param("pulse_power", 3.0))}),
+            t_end=float(spec.param("pulse_t_end", 0.4)),
+            dt=float(spec.param("pulse_dt", 2e-3)),
             projector=model.block_rise,
         )
-        try:
-            scalars["t63_warm"] = float(rise_time(warm.times, warm.states.mean(axis=1)))
-        except Exception:
-            scalars["t63_warm"] = float("nan")
+        series = pulse.states[:, plan.index_of(pulse_block)]
+        scalars = {
+            "tmax": float(block_rise.max()),
+            "dt": float(block_rise.max() - block_rise.min()),
+            "t63": float(rise_time(pulse.times, series)),
+        }
 
-    return JobResult(
-        scalars=scalars,
-        arrays={"block_rise_k": block_rise},
-        meta={"block_names": list(plan.names),
-              "ambient_k": model.config.ambient},
-    )
+        warmup_t_end = float(spec.param("warmup_t_end", 0.0))
+        if warmup_t_end > 0:
+            warm = transient_step_response(
+                model.network, model.node_power(powers),
+                t_end=warmup_t_end,
+                dt=float(spec.param("warmup_dt", 0.5)),
+                projector=model.block_rise,
+            )
+            try:
+                scalars["t63_warm"] = float(
+                    rise_time(warm.times, warm.states.mean(axis=1))
+                )
+            except SolverError:  # the warm-up never crossed 63 %
+                scalars["t63_warm"] = float("nan")
+
+        out[spec.tag] = JobResult(
+            scalars=scalars,
+            arrays={"block_rise_k": block_rise},
+            meta={"block_names": list(plan.names),
+                  "ambient_k": model.config.ambient},
+        )
+    return out
 
 
 def dtm_setup(spec: JobSpec, model: Any) -> Tuple[Any, Any]:
@@ -192,19 +188,6 @@ def dtm_setup(spec: JobSpec, model: Any) -> Tuple[Any, Any]:
     return controller, trace
 
 
-@runner("dtm_policy")
-def run_dtm_policy(spec: JobSpec) -> JobResult:
-    """One closed-loop DTM simulation (package x policy comparison).
-
-    The driving trace is a pulse train on ``pulse_block`` (the
-    Fig. 8-style stimulus of the DTM bench); the policy is selected by
-    name with one ``strength`` knob and optional ``targets``.
-    """
-    from .batching import batch_dtm_policy
-
-    return batch_dtm_policy([spec])[spec.tag]
-
-
 def _claim_attempt(marker_dir: str) -> int:
     """Atomically claim the next attempt number in ``marker_dir``.
 
@@ -223,29 +206,32 @@ def _claim_attempt(marker_dir: str) -> int:
 
 
 @runner("diagnostic")
-def run_diagnostic(spec: JobSpec) -> JobResult:
-    """A no-solve job for exercising the executor and CI smoke runs.
+def run_diagnostic(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
+    """No-solve jobs for exercising the executor and CI smoke runs.
 
-    ``sleep`` stalls (timeout path); ``fail_times`` with a
-    ``marker_dir`` makes the first N attempts raise (retry path);
-    ``value`` is echoed back so tests can check result plumbing.
+    Per job, in order: ``sleep`` stalls (timeout path); ``fail_times``
+    with a ``marker_dir`` makes the first N attempts raise (retry
+    path); ``value`` is echoed back so tests can check result plumbing.
     """
-    sleep = float(spec.param("sleep", 0.0))
-    if sleep > 0:
-        time.sleep(sleep)
-    fail_times = int(spec.param("fail_times", 0))
-    if fail_times > 0:
-        marker_dir = spec.param("marker_dir")
-        if not marker_dir:
-            raise CampaignError("diagnostic fail_times needs a marker_dir")
-        attempt = _claim_attempt(str(marker_dir))
-        if attempt < fail_times:
-            raise CampaignError(
-                f"injected failure (attempt {attempt + 1}/{fail_times})"
-            )
-    value = float(spec.param("value", 0.0))
-    return JobResult(
-        scalars={"value": value, "pid": float(os.getpid())},
-        arrays={"echo": np.array([value])},
-        meta={"tag": spec.tag},
-    )
+    out: Dict[str, JobResult] = {}
+    for spec in specs:
+        sleep = float(spec.param("sleep", 0.0))
+        if sleep > 0:
+            time.sleep(sleep)
+        fail_times = int(spec.param("fail_times", 0))
+        if fail_times > 0:
+            marker_dir = spec.param("marker_dir")
+            if not marker_dir:
+                raise CampaignError("diagnostic fail_times needs a marker_dir")
+            attempt = _claim_attempt(str(marker_dir))
+            if attempt < fail_times:
+                raise CampaignError(
+                    f"injected failure (attempt {attempt + 1}/{fail_times})"
+                )
+        value = float(spec.param("value", 0.0))
+        out[spec.tag] = JobResult(
+            scalars={"value": value, "pid": float(os.getpid())},
+            arrays={"echo": np.array([value])},
+            meta={"tag": spec.tag},
+        )
+    return out

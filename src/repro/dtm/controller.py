@@ -34,7 +34,8 @@ from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..rcmodel.grid import ThermalGridModel
 from ..sensors.sensor import SensorArray
-from ..solver.transient import TrapezoidalStepper
+from ..solver.batched import _initial_states
+from ..solver.transient import _ALIGN_RTOL, TrapezoidalStepper
 from .policies import DTMPolicy
 
 
@@ -113,6 +114,27 @@ class DTMController:
         return run_dtm_batch([self], [trace], [x0])[0]
 
 
+def sample_stride(sampling_interval: Optional[float], dt: float) -> int:
+    """Trace samples per sensor sample (1 when ``sampling_interval`` is
+    ``None``).
+
+    The interval must be a whole multiple of the trace's ``dt``, up to
+    the float residue :func:`~repro.solver.transient.plan_fixed_steps`
+    also forgives; anything else raises :class:`ConfigurationError`
+    instead of silently sampling on a different period.
+    """
+    if sampling_interval is None:
+        return 1
+    ratio = sampling_interval / dt
+    nearest = round(ratio)
+    if nearest < 1 or abs(ratio - nearest) > _ALIGN_RTOL * nearest:
+        raise ConfigurationError(
+            f"sampling_interval {sampling_interval:g} s is not a whole "
+            f"multiple of the trace dt {dt:g} s"
+        )
+    return int(nearest)
+
+
 def run_dtm_batch(
     controllers: Sequence[DTMController],
     traces: Sequence[PowerTrace],
@@ -161,21 +183,15 @@ def run_dtm_batch(
     scales = [
         c.policy.power_scale_vector(model.floorplan) for c in controllers
     ]
-    strides = [
-        max(1, int(round((c.sampling_interval or dt) / dt)))
-        for c in controllers
-    ]
+    strides = [sample_stride(c.sampling_interval, dt) for c in controllers]
     ambient = model.config.ambient
 
-    x = np.zeros((model.n_nodes, n_scenarios))
-    if x0s is not None:
-        if len(x0s) != n_scenarios:
-            raise ConfigurationError(
-                f"{len(x0s)} initial states for {n_scenarios} controllers"
-            )
-        for k, x0 in enumerate(x0s):
-            if x0 is not None:
-                x[:, k] = np.asarray(x0, float)
+    if x0s is not None and len(x0s) != n_scenarios:
+        raise ConfigurationError(
+            f"{len(x0s)} initial states for {n_scenarios} controllers"
+        )
+    x = _initial_states([None] * n_scenarios if x0s is None else x0s,
+                        model.n_nodes)
 
     engaged_until = [-np.inf] * n_scenarios
     n_engagements = [0] * n_scenarios

@@ -22,8 +22,9 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..sensors.sensor import SensorArray
+from ..solver.batched import _initial_states
 from ..solver.transient import TrapezoidalStepper
-from .controller import DTMRun
+from .controller import DTMRun, sample_stride
 from .policies import DTMPolicy
 
 
@@ -66,8 +67,7 @@ class PredictiveDTMController:
         model = self.model
         trace.check_floorplan(model.floorplan)
         dt = trace.dt
-        interval = self.sampling_interval or dt
-        sample_stride = max(1, int(round(interval / dt)))
+        stride = sample_stride(self.sampling_interval, dt)
         stepper = TrapezoidalStepper(model.network, dt)
         forecaster = (
             TrapezoidalStepper(model.network, self.horizon)
@@ -76,8 +76,7 @@ class PredictiveDTMController:
         scale = self.policy.power_scale_vector(model.floorplan)
         ambient = model.config.ambient
 
-        x = np.zeros(model.n_nodes) if x0 is None \
-            else np.asarray(x0, float).copy()
+        x = _initial_states([x0], model.n_nodes)[:, 0]
         engaged_until = -np.inf
         n_engagements = 0
         work = 0.0
@@ -104,7 +103,7 @@ class PredictiveDTMController:
             block_temps[i] = silicon_field
             engaged_flags[i] = engaged
 
-            if i % sample_stride == 0:
+            if i % stride == 0:
                 reading = self.sensors.max_reading(
                     true_field, model.mapping
                 ) if hasattr(model, "mapping") else float(

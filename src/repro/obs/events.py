@@ -245,7 +245,7 @@ class _HeartbeatThread(threading.Thread):
 class StreamConfig:
     """The picklable worker-side slice of an :class:`EventStream`.
 
-    Carries only what ``execute_job`` needs: the queue (a manager
+    Carries only what ``execute_group`` needs: the queue (a manager
     proxy survives pickling to pool workers under both ``fork`` and
     ``spawn``) and the heartbeat cadence.
     """

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
+from .batched import _column_for, _initial_states
 from .transient import BackwardEulerStepper, TransientResult
 
 PowerInput = Union[np.ndarray, Callable[[float], np.ndarray]]
@@ -132,20 +133,14 @@ class AdaptiveTransientSolver:
         """
         if t_end <= 0:
             raise SolverError("t_end must be positive")
-        if callable(power):
-            power_at = power
-        else:
-            constant = np.asarray(power, dtype=float)
-            if constant.shape != (self.network.n_nodes,):
-                raise SolverError(
-                    f"power vector has shape {constant.shape}, expected "
-                    f"({self.network.n_nodes},)"
-                )
-            power_at = lambda _t: constant  # noqa: E731
-        x = np.zeros(self.network.n_nodes) if x0 is None \
-            else np.asarray(x0, float).copy()
-        if x.shape != (self.network.n_nodes,):
-            raise SolverError("x0 has the wrong length")
+        # a constant vector is checked once here, a callable's output
+        # at every evaluation: wrong shapes and NaN/Inf raise SolverError
+        column = _column_for(power, self.network.n_nodes)
+
+        def power_at(t: float) -> np.ndarray:
+            return column.block(np.array([t]))[0]
+
+        x = _initial_states([x0], self.network.n_nodes)[:, 0]
 
         def observe(state: np.ndarray) -> np.ndarray:
             return projector(state) if projector is not None \
@@ -183,12 +178,11 @@ class AdaptiveTransientSolver:
                         now = t_end
                         break
                     final = self._final_stepper(residual)
-                    p = np.asarray(power_at(t_end), float)
-                    x = final.step(x, p)
+                    x = final.step(x, power_at(t_end))
                     now = t_end
                     break
-                p_mid = np.asarray(power_at(now + dt / 2.0), float)
-                p_end = np.asarray(power_at(now + dt), float)
+                p_mid = power_at(now + dt / 2.0)
+                p_end = power_at(now + dt)
                 full = stepper.step(x, p_end)
                 if rung > 0:
                     half_stepper = self._stepper(rung - 1)

@@ -58,6 +58,20 @@ class CoupledSteadyResult:
         return float(self.leakage.sum())
 
 
+def _checked_leakage(
+    leakage: LeakageFunction, block_temps: np.ndarray
+) -> np.ndarray:
+    """``leakage(block_temps)``, required to be finite, non-negative W
+    per block; anything else raises :class:`SolverError`."""
+    leak = np.asarray(leakage(block_temps), dtype=float)
+    if (leak.shape != block_temps.shape or not np.all(np.isfinite(leak))
+            or np.any(leak < 0)):
+        raise SolverError(
+            "leakage() must return finite, non-negative W per block"
+        )
+    return leak
+
+
 def steady_state_with_leakage(
     model: ThermalModel,
     dynamic_power: BlockPower,
@@ -94,9 +108,7 @@ def steady_state_with_leakage(
     rise = np.zeros(model.n_nodes)
     leak = np.zeros_like(dynamic_power)
     for iteration in range(1, max_iterations + 1):
-        leak = np.asarray(leakage(block_temps), dtype=float)
-        if leak.shape != dynamic_power.shape or np.any(leak < 0):
-            raise SolverError("leakage() must return non-negative W per block")
+        leak = _checked_leakage(leakage, block_temps)
         rise = steady_state(
             model.network, model.node_power(dynamic_power + leak)
         )
@@ -144,8 +156,7 @@ def transient_with_leakage(
 
     def node_power(t: float) -> np.ndarray:
         dynamic = np.asarray(dynamic_power_at(t), dtype=float)
-        leak = np.asarray(leakage(block_temps), dtype=float)
-        return model.node_power(dynamic + leak)
+        return model.node_power(dynamic + _checked_leakage(leakage, block_temps))
 
     # the exact final partial step lands the run on t_end when dt does
     # not divide it, as in transient_simulate

@@ -191,3 +191,30 @@ def test_repeated_integrations_share_final_factors():
     assert first >= 1.0
     # everything (ladder + final) served from cache -- exact sentinel
     assert second == 0.0  # repro-ok: float-equality
+
+
+# --- non-finite and misshapen inputs (regression) ----------------------------
+
+
+def test_nonfinite_constant_power_rejected():
+    """Regression: NaN power fell back to dt_min and accepted NaN steps."""
+    solver = AdaptiveTransientSolver(single_rc())
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.integrate(np.array([np.nan]), t_end=1.0)
+
+
+def test_callable_power_checked_at_every_evaluation():
+    solver = AdaptiveTransientSolver(single_rc())
+    late_nan = lambda t: np.array([1.0 if t < 0.5 else np.inf])  # noqa: E731
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.integrate(late_nan, t_end=1.0)
+    with pytest.raises(SolverError, match="shape"):
+        solver.integrate(lambda t: np.array([1.0, 2.0]), t_end=1.0)
+
+
+def test_nonfinite_x0_rejected():
+    solver = AdaptiveTransientSolver(single_rc())
+    with pytest.raises(SolverError, match="x0.*non-finite"):
+        solver.integrate(np.array([1.0]), t_end=1.0, x0=np.array([np.nan]))
+    with pytest.raises(SolverError, match="x0.*shape"):
+        solver.integrate(np.array([1.0]), t_end=1.0, x0=np.zeros(2))

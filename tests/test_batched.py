@@ -341,14 +341,16 @@ def test_heterogeneous_models_fall_through_to_singles():
 
 
 def test_failing_batch_falls_back_to_per_job_execution(monkeypatch):
-    from repro.campaign import batching, run_campaign
+    from repro.campaign import batching, run_campaign, runners
 
     spec = _trace_ensemble_campaign()
 
     def boom(specs):
-        raise RuntimeError("injected batch failure")
+        if len(specs) > 1:
+            raise RuntimeError("injected batch failure")
+        return batching.batch_trace_transient(specs)
 
-    monkeypatch.setitem(batching.BATCH_RUNNERS, "trace_transient", boom)
+    monkeypatch.setitem(runners.RUNNERS, "trace_transient", boom)
     run = run_campaign(spec, batch=True)
     assert run.ok
     for outcome in run.outcomes:

@@ -229,13 +229,13 @@ def test_pool_that_cannot_start_runs_in_process(monkeypatch, refuse):
 
 
 @runner("crash_probe")
-def _crash_probe(spec):
-    """Kill the pool worker that runs this job, as a segfault would.
+def _crash_probe(specs):
+    """Kill the pool worker that runs this group, as a segfault would.
 
     Never the test process itself: run in the campaign driver it raises
     instead, so a regression fails the test rather than ending pytest.
     """
-    if os.getpid() == int(spec.param("driver_pid")):
+    if os.getpid() == int(specs[0].param("driver_pid")):
         raise CampaignError("crash probe ran in the campaign driver")
     os._exit(3)
 
@@ -275,6 +275,31 @@ def test_dead_worker_fails_its_job_and_keeps_the_driver(tmp_path):
         assert rerun.outcome_for(outcome.spec.tag).status == "cached"
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the probe runner is registered in this module; "
+                           "only forked workers see it")
+def test_dead_worker_in_a_group_fails_its_members_and_keeps_the_driver(
+        tmp_path):
+    model = steady_job().model
+    probes = tuple(JobSpec.make("crash_probe", tag=f"p{i}", model=model,
+                                driver_pid=os.getpid()) for i in range(3))
+    quick = tuple(JobSpec.make("diagnostic", tag=f"d{i}", value=float(i))
+                  for i in range(2))
+    manifest = tmp_path / "run.jsonl"
+    run = run_campaign(CampaignSpec(name="group-crash", jobs=probes + quick),
+                       jobs=2, backoff=0.0, manifest_path=str(manifest))
+    assert run.parallel
+    for probe in probes:
+        outcome = run.outcome_for(probe.tag)
+        assert outcome.status == "failed"
+        assert "BrokenProcessPool" in outcome.error
+    driver = str(os.getpid())
+    assert all(o.worker != driver for o in run.outcomes)
+    records = read_manifest(manifest)
+    assert sum(r["type"] == "job" for r in records) == 5
+    assert sum(r["type"] == "summary" for r in records) == 1
+
+
 def test_executor_times_out_stragglers():
     jobs = (
         JobSpec.make("diagnostic", tag="straggler", sleep=1.5),
@@ -285,6 +310,30 @@ def test_executor_times_out_stragglers():
     assert run.outcome_for("straggler").status == "timeout"
     assert run.outcome_for("quick").ok
     assert not run.ok
+
+
+def test_group_timeout_budget_scales_with_its_size():
+    """A group of K jobs gets K times the per-job budget: the group
+    that outlives it ends ``timeout`` member by member, the one that
+    only outlives a single job's budget finishes."""
+    slow = steady_job(direction="left_to_right").model
+    fits = steady_job(direction="top_to_bottom").model
+    jobs = tuple(
+        JobSpec.make("diagnostic", tag=f"slow{i}", model=slow, sleep=1.0)
+        for i in range(2)
+    ) + tuple(
+        JobSpec.make("diagnostic", tag=f"fits{i}", model=fits, sleep=0.2)
+        for i in range(3)
+    )
+    run = run_campaign(CampaignSpec(name="group-slow", jobs=jobs),
+                       jobs=2, timeout=0.4, retries=0)
+    for tag in ("slow0", "slow1"):
+        outcome = run.outcome_for(tag)
+        assert outcome.status == "timeout"
+        assert outcome.error == "exceeded 0.8 s budget"
+    for tag in ("fits0", "fits1", "fits2"):
+        assert run.outcome_for(tag).ok
+        assert run.outcome_for(tag).worker == "batched"
 
 
 @runner("raises_timeout_error")
@@ -417,6 +466,74 @@ def test_steady_blocks_bad_job_falls_back_per_job():
         assert (outcome.worker == "batched") == (not same_model)
         if outcome.spec.tag != bad:
             assert outcome.status == "ok"
+
+
+def _global_deltas(before):
+    """Global metric counts since ``before`` (latency sums excluded:
+    wall time is never bitwise repeatable)."""
+    from repro import obs
+
+    delta = obs.flatten_snapshot(
+        obs.snapshot_diff(obs.metrics().snapshot(), before)
+    )
+    return {name: value for name, value in delta.items()
+            if not name.endswith("sum_s")}
+
+
+def test_same_model_groups_run_in_the_pool():
+    from repro import obs
+    from repro.experiments.dtm_study import dtm_campaign
+
+    campaign = dtm_campaign(nx=6, ny=6, cycles=2)
+    before = obs.metrics().snapshot()
+    serial = run_campaign(campaign, jobs=1, capture_obs=True)
+    serial_deltas = _global_deltas(before)
+    before = obs.metrics().snapshot()
+    pooled = run_campaign(campaign, jobs=2, capture_obs=True)
+    pooled_deltas = _global_deltas(before)
+
+    assert serial.ok and pooled.ok
+    assert pooled.parallel and not serial.parallel
+    assert all(o.worker == "batched" for o in pooled.outcomes)
+    assert len(pooled.outcomes) == 6
+    for job in campaign.jobs:
+        assert (pooled.result_for(job.tag).scalars
+                == serial.result_for(job.tag).scalars)
+    # one lockstep stepping loop per package: 2 x 100 trace samples
+    assert serial_deltas["solver.transient.steps"] == 200
+    assert serial_deltas["campaign.jobs.batched"] == 6
+    assert pooled_deltas == serial_deltas
+    # each group's span tree came back from its worker once
+    assert len(pooled.span_roots()) == 2
+
+
+def test_package_metrics_warmup_that_never_crosses_is_nan(monkeypatch):
+    from repro.analysis import time_constants
+    from repro.campaign.runners import run_package_metrics
+    from repro.errors import SolverError
+
+    real = time_constants.rise_time
+    job = JobSpec.make("package_metrics", tag="p", model=steady_job().model,
+                       power="blocks", power_blocks=TWO_BLOCK_POWER,
+                       warmup_t_end=1.0)
+
+    def warmup_fails_with(error):
+        def rise_time(times, values, fraction=0.63):
+            if times[-1] > 0.5:  # the warm-up, not the 0.4 s pulse
+                raise error
+            return real(times, values, fraction)
+        return rise_time
+
+    monkeypatch.setattr(time_constants, "rise_time", warmup_fails_with(
+        SolverError("trace never reaches the target fraction")))
+    result = run_package_metrics([job])["p"]
+    assert np.isnan(result.scalars["t63_warm"])
+    assert np.isfinite(result.scalars["t63"])
+    # any other error is a bug, not a NaN for the cache to keep
+    monkeypatch.setattr(time_constants, "rise_time",
+                        warmup_fails_with(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        run_package_metrics([job])
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,27 @@ class TestCoupledSteady:
                 oil_model, np.full(4, 1.0), lambda t: np.full(4, -1.0)
             )
 
+    @pytest.mark.parametrize("leak", [np.full(4, np.nan), np.full(3, 1.0)],
+                             ids=["nan", "short"])
+    def test_nonfinite_or_misshapen_leakage_rejected(self, oil_model, leak):
+        with pytest.raises(SolverError, match="leakage"):
+            steady_state_with_leakage(
+                oil_model, np.full(4, 1.0), lambda t: leak
+            )
+
 
 class TestCoupledTransient:
+    @pytest.mark.parametrize(
+        "leak", [np.full(4, np.nan), np.full(4, -5.0), np.full(3, 1.0)],
+        ids=["nan", "negative", "short"])
+    def test_invalid_leakage_rejected(self, oil_model, leak):
+        """Regression: the transient solve never checked leakage()."""
+        with pytest.raises(SolverError, match="leakage"):
+            transient_with_leakage(
+                oil_model, lambda _t: np.full(4, 1.0), lambda t: leak,
+                t_end=0.1, dt=0.02,
+            )
+
     def test_tracks_leakage_growth(self, oil_model):
         plan = oil_model.floorplan
         leakage = exp_leakage(plan)

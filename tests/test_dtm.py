@@ -12,7 +12,7 @@ from repro.dtm import (
     time_above_threshold,
 )
 from repro.dtm.metrics import cooldown_time_after_trigger, performance_penalty
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.floorplan import ev6_floorplan, uniform_grid_floorplan
 from repro.package import oil_silicon_package
 from repro.power import constant_power
@@ -112,6 +112,42 @@ class TestController:
             engagement_duration=0.05, sampling_interval=0.2,
         ).run(trace)
         assert slow.peak_temperature >= fast.peak_temperature - 1e-9
+
+
+    @pytest.mark.parametrize(
+        "make_x0",
+        [lambda n: 5.0, lambda n: np.full(n, np.nan), lambda n: np.zeros(n - 1)],
+        ids=["scalar", "nan", "short"])
+    @pytest.mark.parametrize("predictive", [False, True],
+                             ids=["reactive", "predictive"])
+    def test_invalid_x0_rejected(self, hot_setup, make_x0, predictive):
+        """Regression: a scalar x0 was broadcast to every node."""
+        from repro.dtm import PredictiveDTMController
+
+        plan, model, sensors = hot_setup
+        trace = constant_power(plan, {"die": 1.0}, duration=0.05, dt=0.01)
+        controller = (PredictiveDTMController if predictive else DTMController)(
+            model, sensors, ClockGating(0.3), 318.15 + 30.0,
+            engagement_duration=0.05,
+        )
+        with pytest.raises(SolverError, match="x0"):
+            controller.run(trace, x0=make_x0(model.n_nodes))
+
+    @pytest.mark.parametrize("predictive", [False, True],
+                             ids=["reactive", "predictive"])
+    def test_sampling_interval_must_be_a_multiple_of_dt(self, hot_setup,
+                                                        predictive):
+        """Regression: 1.5 dt silently sampled every 2 dt."""
+        from repro.dtm import PredictiveDTMController
+
+        plan, model, sensors = hot_setup
+        trace = constant_power(plan, {"die": 1.0}, duration=0.05, dt=0.01)
+        controller = (PredictiveDTMController if predictive else DTMController)(
+            model, sensors, ClockGating(0.3), 318.15 + 30.0,
+            engagement_duration=0.05, sampling_interval=0.015,
+        )
+        with pytest.raises(ConfigurationError, match="sampling_interval"):
+            controller.run(trace)
 
 
 class TestMetrics:
