@@ -12,21 +12,3 @@ import sys
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
-
-
-def ledger_append(bench, values):
-    """Append measured scalars to the perf ledger, when one is configured.
-
-    No-op unless ``REPRO_BENCH_LEDGER`` names a ledger file — local
-    bench runs stay side-effect free; CI sets the variable and then
-    gates on ``repro obs bench-report --check``.
-    """
-    path = os.environ.get("REPRO_BENCH_LEDGER")
-    if not path:
-        return
-    from repro.obs import Ledger
-
-    ledger = Ledger(path)
-    for metric, value in values.items():
-        ledger.append(bench, metric, float(value))
-    print(f"\n  ledger: {path} += {bench}/{{{', '.join(sorted(values))}}}")

@@ -50,13 +50,6 @@ def write_artifact():
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
     print(f"\n  wrote {path}")
-    # Only the speedup ratio is ledgered: the absolute solve times are
-    # sub-millisecond and their run-to-run noise exceeds any honest
-    # regression gate, while the ratio is stable to a few percent.
-    if "ev6_speedup" in ARTIFACT:
-        from benchmarks.conftest import ledger_append
-
-        ledger_append("bench_analytic", {"ev6_speedup": ARTIFACT["ev6_speedup"]})
 
 
 def _best_of(fn, reps=3):

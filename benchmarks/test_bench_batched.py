@@ -68,14 +68,6 @@ def write_artifact():
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(merged, fh, indent=2, sort_keys=True)
     print(f"\n  wrote {path}")
-    if "solver" in ARTIFACT:
-        from benchmarks.conftest import ledger_append
-
-        ledger_append("bench_batched", {
-            "serial_s": ARTIFACT["solver"]["serial_s"],
-            "batched_s": ARTIFACT["solver"]["batched_s"],
-            "batch_speedup": ARTIFACT["solver"]["speedup"],
-        })
 
 
 def _best_of(fn, reps=3):
@@ -186,7 +178,7 @@ def test_bench_backend_matrix(benchmark):
     The equivalence contract is asserted inline -- bitwise backends
     must reproduce the default engine exactly, tolerance backends
     within their documented ``rtol`` envelope -- and the measured wall
-    times per backend ship in the artifact and the perf ledger.
+    times per backend ship in the artifact.
     """
     model = ev6_model(nx=8)
     power = model.node_power({
@@ -228,11 +220,6 @@ def test_bench_backend_matrix(benchmark):
         print(f"\n  backend {name}: {1e3 * t_wall:.1f} ms | "
               f"{'bitwise' if backend.bitwise else f'rtol {backend.rtol:g}'}")
     ARTIFACT["backends"] = table
-    from benchmarks.conftest import ledger_append
-
-    ledger_append("bench_backends", {
-        f"{name}_s": row["wall_s"] for name, row in table.items()
-    })
 
 
 def test_bench_campaign_batched_trace_ensemble(benchmark):

@@ -8,7 +8,7 @@ the per-solve cost after factorization stays far below the build cost
 
 The backend-scaling bench repeats the measurement per registered
 linear-algebra backend and ships the curves in the
-``BENCH_solver.json`` artifact plus the perf ledger.
+``BENCH_solver.json`` artifact.
 """
 
 import json
@@ -111,11 +111,5 @@ def test_bench_backend_scaling(benchmark, backend, grid):
         "steady_resolve_s": t_solve,
         "transient_100_steps_s": t_transient,
     }
-    from benchmarks.conftest import ledger_append
-
-    ledger_append(f"bench_scaling_{backend}", {
-        f"g{grid}_build_ms": 1e3 * t_build,
-        f"g{grid}_steady_us": 1e6 * t_solve,
-    })
     assert t_solve < t_build
     assert t_transient < 10.0

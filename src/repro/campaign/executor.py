@@ -16,12 +16,12 @@ Execution of one campaign proceeds in three steps:
    group when its result is read — identical results, only the
    timeout is then advisory.  A group of K jobs gets a ``timeout * K``
    budget (measured from the moment the loop starts waiting on it);
-   a straggler fails all its members ``timeout`` and abandons its
-   worker.  A failing K >= 2 group is rerun as K one-job groups; a
-   failing one-job group retries with exponential backoff up to
-   ``retries`` times.  A worker that dies mid-run fails every
-   unfinished job (``BrokenProcessPool``); none is rerun in this
-   process.
+   a straggler fails all its members ``timeout``, and the pool's
+   workers are ended once every group has its outcome.  A failing
+   K >= 2 group is rerun as K one-job groups; a failing one-job group
+   retries with exponential backoff up to ``retries`` times.  A
+   worker that dies mid-run fails every unfinished job
+   (``BrokenProcessPool``); none is rerun in this process.
 3. **Record** — fresh results are stored back to the cache and every
    job appends a manifest record; the run closes with a summary
    (hit rate, p50/p95 job latency, aggregated metrics).
@@ -493,9 +493,15 @@ def _run_jobs(
                 outcomes[outcome.spec.tag] = outcome
                 _publish(outcome, progress, stream)
     finally:
-        # A timed-out worker cannot be interrupted; don't block the
-        # campaign on it — abandon the pool and let it drain on exit.
+        # A timed-out worker cannot be interrupted, and interpreter exit
+        # would join it: abandon the pool and end its workers (its
+        # private ``_processes``, read before shutdown drops it).  Every
+        # group has its outcome by then.
+        workers = list((getattr(executor, "_processes", None) or {}).values())
         executor.shutdown(wait=not abandoned, cancel_futures=abandoned)
+        if abandoned:
+            for process in workers:
+                process.terminate()
     return outcomes
 
 

@@ -52,15 +52,6 @@ from .export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from .ledger import (
-    DEFAULT_LEDGER,
-    DEFAULT_MAX_REGRESSION,
-    Ledger,
-    Regression,
-    current_git_sha,
-    lower_is_better,
-    machine_fingerprint,
-)
 from .logsetup import logging_setup, verbosity_level
 from .progress import CampaignProgress, JobProgress, LiveRenderer
 from .sampler import ResourceSampler, read_proc_self, read_samples_jsonl
@@ -123,8 +114,6 @@ __all__ = [
     "AnySpan",
     "CampaignProgress",
     "Counter",
-    "DEFAULT_LEDGER",
-    "DEFAULT_MAX_REGRESSION",
     "DEFAULT_TIME_BUCKETS",
     "EVENT_TYPES",
     "Event",
@@ -134,14 +123,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JobProgress",
-    "Ledger",
     "LiveRenderer",
     "METRIC_NAMES",
     "METRIC_PREFIXES",
     "MetricsRegistry",
     "NULL_SPAN",
     "NullSpan",
-    "Regression",
     "ResourceSampler",
     "SPAN_NAMES",
     "Snapshot",
@@ -150,7 +137,6 @@ __all__ = [
     "Tracer",
     "chrome_summary_table",
     "chrome_trace",
-    "current_git_sha",
     "disable_tracing",
     "enable_tracing",
     "flatten_snapshot",
@@ -158,8 +144,6 @@ __all__ = [
     "known_metric",
     "known_span",
     "logging_setup",
-    "lower_is_better",
-    "machine_fingerprint",
     "make_event",
     "metrics",
     "read_events_jsonl",

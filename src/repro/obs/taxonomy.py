@@ -79,7 +79,6 @@ METRIC_NAMES = frozenset(
         "obs.events.dropped",
         "obs.events.heartbeats",
         "obs.sampler.samples",
-        "obs.ledger.appends",
     }
 )
 

@@ -10,4 +10,4 @@ def drain(obs, registry):
 
 def sample(obs, registry):
     registry.counter("obs.sampler.samples").add(1)
-    registry.counter("obs.ledger.appends").add(1)
+    registry.counter("campaign.jobs.timeouts").add(1)

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +311,28 @@ def test_executor_times_out_stragglers():
     assert run.outcome_for("straggler").status == "timeout"
     assert run.outcome_for("quick").ok
     assert not run.ok
+
+
+def test_cli_returns_promptly_after_abandoning_stragglers(tmp_path):
+    """Interpreter exit used to join the abandoned workers, so the CLI
+    returned only once the 30 s stragglers ended."""
+    manifest = tmp_path / "m.jsonl"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", "run", "smoke",
+         "--jobs", "2", "--timeout", "0.05", "-P", "sleep=30", "--no-cache",
+         "--manifest", str(manifest)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, (elapsed, result.stdout, result.stderr)
+    statuses = [r["status"] for r in read_manifest(str(manifest))
+                if r["type"] == "job"]
+    assert statuses == ["timeout", "timeout"], result.stdout
 
 
 def test_group_timeout_budget_scales_with_its_size():

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import statistics
 import time
 
 import numpy as np
@@ -336,6 +337,8 @@ def test_full_telemetry_overhead_below_five_percent():
     spans, ~10 published events (heartbeats are on a wall-clock
     cadence, so this is already a large overestimate), and the 4 Hz
     resource sampler's time amortized over the solve's wall share.
+    Rounds interleave the solve and the bill, so a burst of host load
+    lands on one round's ratio, and the median ratio is asserted.
     """
     import queue as _queue
 
@@ -352,55 +355,47 @@ def test_full_telemetry_overhead_below_five_percent():
     model = ThermalGridModel(plan, config, nx=40, ny=40)
     power = model.node_power({"IntReg": 3.0, "Dcache": 2.0})
     steady_state(model.network, power)  # warm the factorization cache
-    solve_times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        steady_state(model.network, power)
-        solve_times.append(time.perf_counter() - t0)
-    solve_median = sorted(solve_times)[2]
-
-    # enabled (recording) spans
-    obs.enable_tracing()
-    n = 2_000
-    t0 = time.perf_counter()
-    for _ in range(n):
-        with obs.span("overhead.probe", n_nodes=1):
-            pass
-    per_span = (time.perf_counter() - t0) / n
-    obs.disable_tracing()
-    obs.tracer().clear()
-
-    # event publishing into an in-process queue (drained to stay unfull)
     sink = _queue.Queue()
     publisher = EventPublisher(sink)
-    t0 = time.perf_counter()
-    for i in range(n):
-        publisher.publish(obs.make_event("job_heartbeat", tag="t",
-                                         metrics={}))
-        if i % 64 == 0:
-            while not sink.empty():
-                sink.get_nowait()
-    per_publish = (time.perf_counter() - t0) / n
-
-    # one resource sample (procfs + gc + registry snapshot)
     registry = MetricsRegistry()
     registry.counter("solver.steady.solves").inc()
     sampler = ResourceSampler(registry, interval_s=0.25)
     sampler.sample_now()  # warm the procfs read path
-    t0 = time.perf_counter()
-    for _ in range(50):
-        sampler.sample_now()
-    per_sample = (time.perf_counter() - t0) / 50
 
-    # realistic per-solve bill: 10 spans + 10 events + the 4 Hz
-    # sampler's share of this solve's wall time
-    sampler_share = per_sample * (solve_median / sampler.interval_s)
-    bill = 10 * per_span + 10 * per_publish + sampler_share
-    assert bill < 0.05 * solve_median, (
-        f"telemetry bills {bill * 1e6:.1f} us per {solve_median * 1e3:.2f} ms "
-        f"solve (span {per_span * 1e6:.2f} us, publish "
-        f"{per_publish * 1e6:.2f} us, sample {per_sample * 1e6:.1f} us)"
-    )
+    def per_op(op, n):
+        t0 = time.perf_counter()
+        for i in range(n):
+            op(i)
+        return (time.perf_counter() - t0) / n
+
+    def span(_):
+        with obs.span("overhead.probe", n_nodes=1):
+            pass
+
+    def publish(i):  # into an in-process queue, drained to stay unfull
+        publisher.publish(obs.make_event("job_heartbeat", tag="t", metrics={}))
+        if i % 64 == 0:
+            while not sink.empty():
+                sink.get_nowait()
+
+    ratios, bills = [], []
+    for _ in range(5):
+        solve = per_op(lambda _: steady_state(model.network, power), 1)
+        obs.enable_tracing()  # enabled (recording) spans
+        per_span = per_op(span, 1_000)
+        obs.disable_tracing()
+        obs.tracer().clear()
+        per_publish = per_op(publish, 1_000)
+        per_sample = per_op(lambda _: sampler.sample_now(), 20)
+        # realistic per-solve bill: 10 spans + 10 events + the 4 Hz
+        # sampler's share of this solve's wall time
+        bill = 10 * per_span + 10 * per_publish + per_sample * (
+            solve / sampler.interval_s)
+        ratios.append(bill / solve)
+        bills.append(f"{bill * 1e6:.1f} us / {solve * 1e3:.2f} ms (span "
+                     f"{per_span * 1e6:.2f} us, publish {per_publish * 1e6:.2f} "
+                     f"us, sample {per_sample * 1e6:.1f} us)")
+    assert statistics.median(ratios) < 0.05, "\n".join(bills)
 
 
 # ---------------------------------------------------------------------------
